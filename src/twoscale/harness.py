@@ -113,12 +113,13 @@ class ExperimentConfig:
             raise UsageError(f"unknown algo {self.algo!r}")
         if self.algo == "td0" and self.experiment != "tdc":
             raise UsageError("algo td0 is only valid with experiment tdc")
-        if self.runs < 1:
-            raise UsageError("runs must be >= 1")
-        if self.iters < 1:
-            raise UsageError("iters must be >= 1")
-        if self.stride < 1:
-            raise UsageError("stride must be >= 1")
+        for key in ("runs", "iters", "stride", "states", "actions", "dim"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise UsageError(f"{key} must be >= 1")
+        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
+            raise UsageError("gamma must lie in [0, 1)")
+        if self.sigma is not None and not 0.0 <= self.sigma < np.inf:
+            raise UsageError("sigma must be finite and >= 0")
 
     def out_path(self) -> str:
         if self.out is not None:

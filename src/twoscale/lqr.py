@@ -23,7 +23,7 @@ weighted by the feature outer product v v'. (A one-sample update
 without the next-pair term and with opposite sign is not a root of the
 equation above and diverges numerically; see the module tests.)
 
-Exact solvers (fixed-point Lyapunov and Riccati iterations, stationary
+Exact solvers (direct Lyapunov and Riccati solves, stationary
 covariances) provide ground truth for costs, gradients, and the critic
 target, used by probes and tests only.
 """
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .numerics import SeededRng, stability_test
 from .solver import StepSchedule, Trace
@@ -131,6 +132,11 @@ class LqrSystem:
     def Psi_sigma(self) -> np.ndarray:
         return self.Psi + self.sigma**2 * (self.B @ self.B.T)
 
+    @cached_property
+    def J_star(self) -> float:
+        """Optimal average cost J(K_star), solved once, on first use."""
+        return cost_J(self, dare_solve(self)[1])
+
 
 def paper_lqr_3x2(psi_scale: float = 0.01, sigma: float = 0.1) -> LqrSystem:
     """The benchmark 3-state / 2-control system used in the experiments."""
@@ -163,22 +169,12 @@ def make_controller(system: LqrSystem, K) -> Controller:
 # --- symmetric vectorization -------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-_svec_cache: dict = {}
 
 
+@lru_cache(maxsize=None)
 def _svec_indices(n: int):
-    try:
-        return _svec_cache[n]
-    except KeyError:
-        rows, cols, w = [], [], []
-        for j in range(n):
-            for i in range(j + 1):
-                rows.append(i)
-                cols.append(j)
-                w.append(1.0 if i == j else _SQRT2)
-        out = (np.array(rows), np.array(cols), np.array(w))
-        _svec_cache[n] = out
-        return out
+    cols, rows = np.tril_indices(n)
+    return rows, cols, np.where(rows == cols, 1.0, _SQRT2)
 
 
 def svec(M) -> np.ndarray:
@@ -206,40 +202,42 @@ def phi_feature(x, u) -> np.ndarray:
 
 # --- exact solvers ------------------------------------------------------------
 
-def lyapunov_solve(M, W, tol: float = 1e-12, max_iters: int = 100000):
-    """Fixed point of P = W + M'PM for a discrete-stable M, symmetric W."""
+def lyapunov_solve(M, W):
+    """Solution P of P = W + M'PM for a discrete-stable M, symmetric W,
+    from the linear system (I - M' kron M') vec P = vec W."""
     M = np.asarray(M, float)
     if not stability_test(M):
         raise UnstableSystemError("matrix fails the stability test")
-    P = np.asarray(W, float).copy()
-    for _ in range(max_iters):
-        P_next = W + M.T @ P @ M
-        if float(np.sqrt(((P_next - P) ** 2).sum())) <= tol:
-            return 0.5 * (P_next + P_next.T)
-        P = P_next
-    raise UnstableSystemError("Lyapunov iteration did not converge")
+    n = M.shape[0]
+    P = np.linalg.solve(np.eye(n * n) - np.kron(M.T, M.T),
+                        np.ravel(W)).reshape(n, n)
+    return 0.5 * (P + P.T)
+
+
+def _cost_and_omega(system: LqrSystem, K):
+    """(J(K), Omega_K) from one P_K, Omega_K = [A B]'P_K[A B] + diag(Q, R).
+
+    Raises UnstableSystemError unless A - BK passes the stability test.
+    """
+    P = lyapunov_solve(system.A - system.B @ K, system.Q + K.T @ system.R @ K)
+    d1, AB = system.d1, np.hstack([system.A, system.B])
+    Om = AB.T @ P @ AB
+    Om[:d1, :d1] += system.Q
+    Om[d1:, d1:] += system.R
+    return (float(np.trace(P @ system.Psi_sigma)
+                  + system.sigma**2 * np.trace(system.R)), Om)
 
 
 def cost_J(system: LqrSystem, K) -> float:
     """Average cost trace(P_K Psi_sigma) + sigma^2 trace(R)."""
-    K = np.asarray(K, float)
-    M = system.A - system.B @ K
-    if not stability_test(M):
-        raise UnstableSystemError("gain is not stabilizing")
-    P_K = lyapunov_solve(M, system.Q + K.T @ system.R @ K)
-    return float(np.trace(P_K @ system.Psi_sigma)
-                 + system.sigma**2 * np.trace(system.R))
+    return _cost_and_omega(system, np.asarray(K, float))[0]
 
 
 def natural_gradient_exact(system: LqrSystem, K) -> np.ndarray:
-    """2 (R + B'P_K B) K - 2 B'P_K A."""
+    """2 (R + B'P_K B) K - 2 B'P_K A, from the blocks of Omega_K."""
     K = np.asarray(K, float)
-    M = system.A - system.B @ K
-    if not stability_test(M):
-        raise UnstableSystemError("gain is not stabilizing")
-    P_K = lyapunov_solve(M, system.Q + K.T @ system.R @ K)
-    B = system.B
-    return 2.0 * (system.R + B.T @ P_K @ B) @ K - 2.0 * B.T @ P_K @ system.A
+    d1, Om = system.d1, _cost_and_omega(system, K)[1]
+    return 2.0 * (Om[d1:, d1:] @ K - Om[d1:, :d1])
 
 
 def sigma_K(system: LqrSystem, K) -> np.ndarray:
@@ -251,29 +249,14 @@ def sigma_K(system: LqrSystem, K) -> np.ndarray:
 
 def omega_exact(system: LqrSystem, K) -> np.ndarray:
     """The curvature matrix Omega_K assembled from P_K."""
-    K = np.asarray(K, float)
-    M = system.A - system.B @ K
-    if not stability_test(M):
-        raise UnstableSystemError("gain is not stabilizing")
-    P = lyapunov_solve(M, system.Q + K.T @ system.R @ K)
-    A, B = system.A, system.B
-    return np.block([[system.Q + A.T @ P @ A, A.T @ P @ B],
-                     [B.T @ P @ A, system.R + B.T @ P @ B]])
+    return _cost_and_omega(system, np.asarray(K, float))[1]
 
 
-def dare_solve(system: LqrSystem, tol: float = 1e-12, max_iters: int = 100000):
-    """Riccati fixed point and the optimal gain (P_star, K_star)."""
-    A, B, Q, R = system.A, system.B, system.Q, system.R
-    P = Q.copy()
-    for _ in range(max_iters):
-        G = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-        P_next = Q + A.T @ P @ A - A.T @ P @ B @ G
-        if np.abs(P_next - P).max() <= tol:
-            P = 0.5 * (P_next + P_next.T)
-            K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-            return P, K
-        P = P_next
-    raise UnstableSystemError("Riccati iteration did not converge")
+def dare_solve(system: LqrSystem):
+    """Riccati solution and the optimal gain (P_star, K_star)."""
+    A, B, R = system.A, system.B, system.R
+    P = scipy.linalg.solve_discrete_are(A, B, system.Q, R)
+    return P, np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
 
 
 # --- simulation and the online algorithm --------------------------------------
@@ -408,8 +391,7 @@ def run_lqr(system: LqrSystem, algo: str, schedule: StepSchedule,
     if n_iters < 1 or stride < 1:
         raise ValueError("n_iters and stride must be >= 1")
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
-    _, K_star = dare_solve(system)
-    J_star = cost_J(system, K_star)
+    J_star = system.J_star
     state = initial_actor_critic_state(system, rng, K0=K0)
     step = alg2_step if algo == "fast" else standard_actor_critic_step
 
@@ -418,12 +400,12 @@ def run_lqr(system: LqrSystem, algo: str, schedule: StepSchedule,
     flagged, abort_k = False, None
 
     def record(k):
-        if not stability_test(system.A - system.B @ state.K):
+        try:
+            J_K, Om = _cost_and_omega(system, state.K)
+        except UnstableSystemError:
             return False
-        J_K = cost_J(system, state.K)
         crit = np.concatenate([[state.J_hat - J_K],
-                               svec(state.Omega_hat)
-                               - svec(omega_exact(system, state.K))])
+                               svec(state.Omega_hat) - svec(Om)])
         vals = (J_K - J_star, float(crit @ crit), 1.0)
         if not np.all(np.isfinite(vals)):
             return False

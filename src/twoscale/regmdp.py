@@ -260,7 +260,6 @@ class RegMdpProblem(TwoTimeScaleProblem):
         _, _, J_star = soft_optimal(regmdp)
         self.J_star = J_star
         self.exact = ExactAccessors(
-            grad_h=self._grad_h,
             omega_star=lambda th: exact_value(regmdp, softmax_policy(th.reshape(S, A))),
             theta_star=None,
             h=lambda th: -exact_J(regmdp, th.reshape(S, A)),
@@ -268,11 +267,6 @@ class RegMdpProblem(TwoTimeScaleProblem):
             mean_f=lambda th, om: mean_F(regmdp, th.reshape(S, A), om).ravel(),
             mean_g=lambda th, om: mean_G(regmdp, th.reshape(S, A), om),
         )
-
-    def _grad_h(self, theta_flat):
-        theta = theta_flat.reshape(self._shape)
-        omega = exact_value(self.regmdp, softmax_policy(theta))
-        return mean_F(self.regmdp, theta, omega).ravel()
 
     def sample(self, theta_flat, omega, rng: SeededRng):
         regmdp = self.regmdp

@@ -67,6 +67,8 @@ class ExactAccessors:
 
     mean_f / mean_g are the deterministic expectations of the sampled
     operators; when absent, probes fall back to Monte Carlo estimates.
+    Without grad_h, probes take grad h(theta) = mean_f(theta,
+    omega_star(theta)), reusing the omega_star that `y` evaluates.
     """
 
     grad_h: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -299,6 +301,8 @@ class ResidualProbe:
             ex = ExactAccessors()
         self._ex = ex
         self._has_mean = ex.mean_f is not None and ex.mean_g is not None
+        self._has_grad = ex.grad_h is not None or (
+            ex.omega_star is not None and ex.mean_f is not None)
 
     def metric_names(self, include_residuals: bool = True):
         ex = self._ex
@@ -309,7 +313,7 @@ class ResidualProbe:
             names.append("x")
         if ex.omega_star is not None:
             names.append("y")
-        if ex.grad_h is not None:
+        if self._has_grad:
             names.append("grad_norm_sq")
         if include_residuals:
             names += ["delta_f_sq", "delta_g_sq"]
@@ -341,10 +345,12 @@ class ResidualProbe:
         if ex.h is not None and ex.h_star is not None:
             out["x"] = float(ex.h(theta) - ex.h_star)
         if ex.omega_star is not None:
-            d = omega - ex.omega_star(theta)
+            omega_star = ex.omega_star(theta)
+            d = omega - omega_star
             out["y"] = float(d @ d)
-        if ex.grad_h is not None:
-            grad = ex.grad_h(theta)
+        if self._has_grad:
+            grad = (ex.grad_h(theta) if ex.grad_h is not None
+                    else ex.mean_f(theta, omega_star))
             out["grad_norm_sq"] = float(grad @ grad)
         if f is not None and g is not None:
             F_bar, G_bar = self._mean_ops(theta, omega)
@@ -464,7 +470,8 @@ def estimate_rate(ks, values, window: float = 0.5) -> RateFit:
 
     `window` is the fraction of the recorded series (counted from the
     end, after dropping k = 0) used for the fit. Raises on nonpositive
-    metric values inside the window, naming the first offending k.
+    metric values inside the window, naming the first offending k, and
+    when fewer than two points remain after dropping k = 0.
     """
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -475,6 +482,8 @@ def estimate_rate(ks, values, window: float = 0.5) -> RateFit:
     keep = ks >= 1.0
     ks, values = ks[keep], values[keep]
     n = ks.size
+    if n < 2:
+        raise ValueError(f"rate fit needs 2 points with k >= 1, got {n}")
     m = max(2, int(math.ceil(window * n)))
     ks, values = ks[n - m:], values[n - m:]
     bad = values <= 0.0

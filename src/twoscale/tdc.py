@@ -16,6 +16,7 @@ policy expectations are recovered with per-sample importance ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,6 +177,12 @@ class TdcInstance:
         self._a_pi = self._cov_pi - mdp.gamma * ((self.P_pi @ Phi).T @ Dp).T
         self._b_pi = Dp.T @ mdp.r_state
 
+    # Inverses of the two covariances, built on first use: an instance
+    # with rank-deficient features can still be sampled from.
+    _cov_inv = cached_property(lambda self: _covariance_inverse(self.cov))
+    _cov_pi_inv = cached_property(
+        lambda self: _covariance_inverse(self._cov_pi))
+
     def mean_f(self, theta, omega):
         resid = self.b_vec - self.a_mat @ theta
         return -2.0 * resid + 2.0 * self.mdp.gamma * (self.next_cov @ omega)
@@ -279,12 +286,17 @@ def td0_sample(instance: TdcInstance, theta, transition):
     return (-rho * delta) * phi_s
 
 
+def _covariance_inverse(cov):
+    try:
+        return linear_solve(cov, np.eye(len(cov)))
+    except SingularMatrixError as err:
+        raise SingularMatrixError("singular feature covariance, regenerate "
+                                  f"features: {err}") from err
+
+
 def exact_omega_star(instance: TdcInstance, theta) -> np.ndarray:
     """Auxiliary solution: cov omega = b_vec - a_mat theta."""
-    try:
-        return linear_solve(instance.cov, instance.b_vec - instance.a_mat @ theta)
-    except Exception as err:
-        raise type(err)(f"singular feature covariance, regenerate features: {err}")
+    return instance._cov_inv @ (instance.b_vec - instance.a_mat @ theta)
 
 
 def exact_mspbe(instance: TdcInstance, theta, weighting: str = "behavior") -> float:
@@ -296,13 +308,13 @@ def exact_mspbe(instance: TdcInstance, theta, weighting: str = "behavior") -> fl
     stationary distribution, reported for reference).
     """
     if weighting == "behavior":
-        cov, a_mat, b_vec = instance.cov, instance.a_mat, instance.b_vec
+        inv, a_mat, b_vec = instance._cov_inv, instance.a_mat, instance.b_vec
     elif weighting == "target":
-        cov, a_mat, b_vec = instance._cov_pi, instance._a_pi, instance._b_pi
+        inv, a_mat, b_vec = instance._cov_pi_inv, instance._a_pi, instance._b_pi
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
     resid = b_vec - a_mat @ theta
-    return float(resid @ linear_solve(cov, resid))
+    return float(resid @ (inv @ resid))
 
 
 class TdcProblem(TwoTimeScaleProblem):
@@ -314,7 +326,6 @@ class TdcProblem(TwoTimeScaleProblem):
         self.dim_theta = d
         self.dim_omega = d
         self.exact = ExactAccessors(
-            grad_h=lambda th: instance.mean_f(th, exact_omega_star(instance, th)),
             omega_star=lambda th: exact_omega_star(instance, th),
             theta_star=instance.theta_star.copy(),
             h=lambda th: exact_mspbe(instance, th),

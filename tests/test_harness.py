@@ -145,6 +145,13 @@ def test_rate_report_contents():
     assert np.isfinite(rate["slope"]) and np.isfinite(rate["r2"])
 
 
+def test_no_rate_line_from_a_single_point_after_k0():
+    result = run_experiment(small_config(iters=100, stride=1000, runs=1))
+    assert list(result.series.ks) == [0, 100]
+    assert result.rate is None
+    assert "# rate" not in render_csv(result)
+
+
 def test_csv_round_trip(tmp_path):
     result = run_experiment(small_config())
     path = tmp_path / "out.csv"
@@ -217,6 +224,24 @@ def test_cli_usage_error_exit_code():
     assert r.returncode == 1
     r = _cli("run", "lqr", "--algo", "td0")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("experiment,flag,value", [
+    ("synthetic-sc", "--sigma", "-1"),
+    ("lqr", "--sigma", "nan"),
+    ("tdc", "--gamma", "1"),
+    ("tdc", "--states", "0"),
+    ("tdc", "--actions", "0"),
+    ("synthetic-sc", "--dim", "0"),
+])
+def test_cli_rejects_values_outside_their_domain(tmp_path, experiment, flag,
+                                                 value):
+    out = tmp_path / "x.csv"
+    r = _cli("run", experiment, flag, value, "--iters", "10", "--runs", "1",
+             "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {flag[2:]} must")
+    assert not out.exists()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

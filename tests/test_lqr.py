@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import twoscale.lqr as lqr_mod
 
 from twoscale.lqr import (ActorCriticState, LqrSystem, UnstableSystemError,
                           alg2_step, cost_J, dare_solve, env_step,
@@ -124,6 +127,22 @@ def test_lyapunov_benchmark_system_residual():
     P = lyapunov_solve(system.A, system.Q)
     resid = P - system.Q - system.A.T @ P @ system.A
     assert np.sqrt((resid ** 2).sum()) <= 1e-10
+
+
+def test_lyapunov_matches_scipy_on_random_stable_matrices():
+    rng = SeededRng(30)
+    for n in range(1, 5):
+        checked = 0
+        while checked < 5:
+            M = rng.normal(n * n).reshape(n, n)
+            if not stability_test(M):
+                continue
+            L = rng.normal(n * n).reshape(n, n)
+            W = L @ L.T
+            P = lyapunov_solve(M, W)
+            ref = scipy.linalg.solve_discrete_lyapunov(M.T, W)
+            assert np.abs(P - ref).max() <= 1e-10 * np.abs(ref).max()
+            checked += 1
 
 
 def test_lyapunov_rejects_unstable():
@@ -250,6 +269,24 @@ def test_dare_scalar_root():
     # the scalar fixed point solves p^2 - p/4 - 1 = 0
     assert abs(p * p - 0.25 * p - 1.0) <= 1e-10
     assert K[0, 0] == pytest.approx(0.5 * p / (1.0 + p), rel=1e-10)
+    # closed form: the positive root
+    assert p == pytest.approx((0.25 + math.sqrt(4.0625)) / 2.0, rel=1e-12)
+
+
+def test_dare_satisfies_riccati_equation():
+    rng = SeededRng(31)
+    systems = [paper_lqr_3x2(psi_scale=0.25, sigma=0.5), scalar_system()]
+    for _ in range(5):
+        A = rng.normal(9).reshape(3, 3)
+        B = rng.normal(6).reshape(3, 2)
+        systems.append(LqrSystem(A=A, B=B, Q=np.eye(3), R=np.eye(2),
+                                 Psi=np.eye(3)))
+    for system in systems:
+        A, B, Q = system.A, system.B, system.Q
+        P, K = dare_solve(system)
+        resid = Q + A.T @ P @ A - A.T @ P @ B @ K - P
+        assert np.abs(resid).max() <= 1e-10 * np.abs(P).max()
+        assert stability_test(A - B @ K)
 
 
 def test_optimal_controller_is_stabilizing():
@@ -347,6 +384,56 @@ def test_run_lqr_deterministic_and_converging():
     assert np.array_equal(t1.metrics["gap"], t2.metrics["gap"])
     assert t1.metrics["gap"][-1] < 0.2 * t1.metrics["gap"][0]
     assert np.all(t1.metrics["stabilizing"] == 1.0)
+
+
+def test_system_solves_optimal_cost_once(monkeypatch):
+    system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
+    calls = []
+    monkeypatch.setattr(lqr_mod, "dare_solve",
+                        lambda s: calls.append(s) or dare_solve(s))
+    sched = make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
+    for i in range(2):
+        run_lqr(system, "fast", sched, 20, seed=(2, i), stride=10)
+    assert calls == [system]
+    assert system.J_star == cost_J(system, dare_solve(system)[1])
+
+
+def test_run_lqr_metrics_match_exact_solvers():
+    system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
+    sched = make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
+    n_iters, stride = 400, 100
+    trace = run_lqr(system, "fast", sched, n_iters, seed=(2, 0),
+                    stride=stride)
+    A, B, Q, R = system.A, system.B, system.Q, system.R
+
+    def truth(K):
+        # P_K from scipy, then J(K) and Omega_K by their textbook formulas
+        P = scipy.linalg.solve_discrete_lyapunov((A - B @ K).T,
+                                                 Q + K.T @ R @ K)
+        J = np.trace(P @ system.Psi_sigma) + system.sigma**2 * np.trace(R)
+        return J, np.block([[Q + A.T @ P @ A, A.T @ P @ B],
+                            [B.T @ P @ A, R + B.T @ P @ B]])
+
+    P_star = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    J_star = truth(np.linalg.solve(R + B.T @ P_star @ B,
+                                   B.T @ P_star @ A))[0]
+    # replay the replica step by step and evaluate the ground truth apart
+    rng = SeededRng((2, 0))
+    state = initial_actor_critic_state(system, rng)
+    J, y = [], []
+    for k in range(n_iters + 1):
+        if k % stride == 0:
+            J_K, Om = truth(state.K)
+            crit = np.concatenate([[state.J_hat - J_K],
+                                   svec(state.Omega_hat) - svec(Om)])
+            J.append(J_K)
+            y.append(float(crit @ crit))
+        if k < n_iters:
+            state = alg2_step(state, system, sched, rng)
+    assert np.array_equal(trace.ks, np.arange(0, n_iters + 1, stride))
+    # gap = J(K) - J*, so its error is relative to J, not to the gap
+    assert np.allclose(trace.metrics["gap"] + J_star, J, rtol=1e-12, atol=0)
+    assert np.allclose(trace.metrics["y"], y, rtol=1e-12, atol=0.0)
 
 
 def test_run_lqr_flags_unstable_start():

@@ -301,6 +301,35 @@ def test_probe_does_not_touch_run_stream():
     assert np.array_equal(bare.final_state.theta, probed.final_state.theta)
 
 
+def test_probe_gradient_from_mean_operator_shares_omega_star():
+    inner = quad()
+    calls = []
+
+    class NoGrad(TwoTimeScaleProblem):
+        dim_theta = 5
+        dim_omega = 5
+
+        def __init__(self):
+            from twoscale.solver import ExactAccessors
+
+            def omega_star(theta):
+                calls.append(1)
+                return inner.omega_star(theta)
+            self.exact = ExactAccessors(omega_star=omega_star,
+                                        mean_f=inner.mean_f,
+                                        mean_g=inner.mean_g)
+
+    probe = ResidualProbe(NoGrad())
+    assert "grad_norm_sq" in probe.metric_names()
+    theta = np.linspace(-1.0, 1.0, 5)
+    vals = probe.compute(theta, np.zeros(5))
+    assert len(calls) == 1
+    grad = inner.mean_f(theta, inner.omega_star(theta))
+    assert vals["grad_norm_sq"] == float(grad @ grad)
+    # the identity the default rests on: mean F at omega* is grad h
+    assert np.allclose(grad, inner.grad_h(theta), rtol=1e-12, atol=1e-12)
+
+
 def test_probe_monte_carlo_fallback():
     inner = quad(sigma=0.2)
 
@@ -334,6 +363,13 @@ def test_estimate_rate_exact_power_laws():
     fit = estimate_rate(ks, 3.0 / np.sqrt(ks), window=0.5)
     assert abs(fit.slope + 0.5) < 1e-9
     assert fit.r_squared > 1.0 - 1e-12
+
+
+def test_estimate_rate_needs_two_points_after_k0():
+    with pytest.raises(ValueError, match="2 points"):
+        estimate_rate(np.array([0, 100]), np.array([2.0, 1.0]), window=0.5)
+    fit = estimate_rate(np.array([0, 10, 100]), np.array([3.0, 1.0, 0.1]))
+    assert fit.slope == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_estimate_rate_rejects_nonpositive():

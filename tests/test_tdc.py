@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twoscale.numerics import SeededRng, linear_solve
+from twoscale.numerics import SeededRng, SingularMatrixError, linear_solve
 from twoscale.tdc import (LinearFeatures, TabularMdp, TdcInstance, TdcProblem,
                           bellman_reward, dump_instance, exact_mspbe,
                           exact_omega_star, generate_instance, load_instance,
@@ -122,6 +122,41 @@ def test_tdc_sample_zero_cases():
     theta = np.array([0.0, 3.0])   # value 0 everywhere on these features
     F, G = tdc_sample(inst0, theta, np.zeros(2), (1, 0, 0))
     assert np.abs(F).max() == 0.0
+
+
+def test_rank_deficient_features_sample_but_have_no_omega_star():
+    P = np.zeros((2, 2, 2))
+    P[:, :, 0] = 1.0
+    mdp = TabularMdp(P=P, r_state=np.zeros(2), gamma=0.5)
+    phi = LinearFeatures(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    uni = np.full((2, 2), 0.5)
+    inst = TdcInstance(mdp, phi, uni, uni, np.zeros(2))
+    rng = SeededRng(24)
+    for _ in range(10):
+        tdc_sample(inst, np.ones(2), np.ones(2), sample_transition(inst, rng))
+    with pytest.raises(SingularMatrixError,
+                       match="regenerate features") as info:
+        exact_omega_star(inst, np.zeros(2))
+    assert isinstance(info.value.__cause__, SingularMatrixError)
+    with pytest.raises(SingularMatrixError, match="regenerate features"):
+        exact_mspbe(inst, np.zeros(2), weighting="target")
+
+
+def test_ground_truth_matches_per_call_solves():
+    inst = generate_instance(12, 4, 5, 0.8, seed=25)
+    rng = SeededRng(26)
+    for _ in range(20):
+        theta = 3.0 * rng.normal(5)
+        rhs = inst.b_vec - inst.a_mat @ theta
+        ref = linear_solve(inst.cov, rhs)
+        ws = exact_omega_star(inst, theta)
+        assert np.abs(ws - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert exact_mspbe(inst, theta) == pytest.approx(float(rhs @ ref),
+                                                         rel=1e-12)
+        rhs_pi = inst._b_pi - inst._a_pi @ theta
+        ref_pi = float(rhs_pi @ linear_solve(inst._cov_pi, rhs_pi))
+        assert exact_mspbe(inst, theta, weighting="target") == pytest.approx(
+            ref_pi, rel=1e-12)
 
 
 def test_on_policy_ratio_is_one():
