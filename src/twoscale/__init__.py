@@ -18,30 +18,24 @@ from .conditions import (
 from .numerics import (
     SeededRng,
     SingularMatrixError,
-    categorical_sample,
-    derive,
+    inverse_cdf,
     linear_solve,
     stability_test,
-    standard_normal,
 )
 from .solver import (
     ConfigurationError,
     ExactAccessors,
-    NonFiniteError,
     RateFit,
     ResidualProbe,
     SolverState,
     StepSchedule,
     Trace,
     TwoTimeScaleProblem,
-    averaging_update,
     custom_schedule,
     estimate_rate,
-    fast_step,
     make_polynomial_schedule,
     make_sqrt_schedule,
     run,
-    standard_step,
 )
 from .synthetic import (
     NonconvexProblem,
@@ -50,7 +44,6 @@ from .synthetic import (
     make_nonconvex,
     make_pl,
     make_quadratic,
-    oracle_sample,
 )
 
 from . import harness, lqr, regmdp, tdc  # noqa: E402  (subpackage access)

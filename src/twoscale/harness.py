@@ -47,8 +47,6 @@ __all__ = [
     "write_csv",
 ]
 
-EXPERIMENTS = ("synthetic-sc", "synthetic-pl", "synthetic-nc",
-               "tdc", "lqr", "regmdp")
 ALGOS = ("fast", "standard", "td0")
 
 # Table of predicted tail exponents for the primary metric, per
@@ -120,6 +118,12 @@ class ExperimentConfig:
             raise UsageError("gamma must lie in [0, 1)")
         if self.sigma is not None and not 0.0 <= self.sigma < np.inf:
             raise UsageError("sigma must be finite and >= 0")
+        reads = _BUILDERS[self.experiment][0]
+        unread = [key for key in _INSTANCE_KEYS
+                  if getattr(self, key) is not None and key not in reads]
+        if unread:
+            raise UsageError(f"experiment {self.experiment} does not read "
+                             + ", ".join(unread))
 
     def out_path(self) -> str:
         if self.out is not None:
@@ -130,6 +134,8 @@ class ExperimentConfig:
 
 _INT_KEYS = ("iters", "runs", "seed", "stride", "states", "actions", "dim")
 _FLOAT_KEYS = ("gamma", "tau", "sigma")
+# keys that shape an experiment's instance; each builder reads a subset
+_INSTANCE_KEYS = ("states", "actions", "dim", "gamma", "tau", "sigma")
 _STR_KEYS = ("experiment", "algo", "schedule", "out")
 _ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
 
@@ -321,25 +327,78 @@ def _fit_rate(config: ExperimentConfig, series: AggregateSeries):
     }
 
 
-# --- experiment dispatch --------------------------------------------------------
+# --- experiment builders --------------------------------------------------------
+#
+# A builder returns (problem, probe, initial state, header extras); the
+# initial state None means all zeros. Builders call the instance makers
+# through module attributes at call time, so that wrappers installed on
+# those attributes (perfbench/tracing.py) see every call.
 
-def _synthetic_problem(config: ExperimentConfig):
+def _build_synthetic(config: ExperimentConfig):
     d = config.dim if config.dim is not None else 5
     sigma = config.sigma if config.sigma is not None else 0.1
+    init = None
     if config.experiment == "synthetic-sc":
         problem, consts = make_quadratic(d, d, seed=config.seed,
                                          condition_number=10.0,
                                          sigma_noise=sigma)
-        init = None
     elif config.experiment == "synthetic-pl":
         problem, consts = make_pl(d, d, seed=config.seed,
                                   condition_number=10.0, sigma_noise=sigma)
-        init = None
     else:
         problem, consts = make_nonconvex(d, d, seed=config.seed,
                                          sigma_noise=sigma)
         init = SolverState.zeros(problem, theta0=problem.theta0)
-    return problem, consts, init
+    header = dict(L=consts.L, mu_G=consts.mu_G, B=consts.B)
+    if consts.mu_h is not None:
+        header["mu_h"] = consts.mu_h
+    return problem, ResidualProbe(problem), init, header
+
+
+def _build_tdc(config: ExperimentConfig):
+    S = config.states if config.states is not None else 50
+    A = config.actions if config.actions is not None else 50
+    d = config.dim if config.dim is not None else 10
+    gamma = config.gamma if config.gamma is not None else 0.5
+    instance = tdc_mod.generate_instance(S, A, d, gamma, seed=config.seed)
+    problem = (tdc_mod.Td0Problem(instance) if config.algo == "td0"
+               else tdc_mod.TdcProblem(instance))
+    return (problem, tdc_mod.mspbe_probe(problem), None,
+            dict(states=S, actions=A, dim=d, gamma=gamma))
+
+
+def _build_lqr(config: ExperimentConfig):
+    sigma = config.sigma if config.sigma is not None else 0.5
+    system = lqr_mod.paper_lqr_3x2(psi_scale=0.25, sigma=sigma)
+    problem = lqr_mod.LqrProblem(system)
+    return (problem, lqr_mod.gap_probe(problem),
+            SolverState.zeros(problem, theta0=problem.theta0),
+            dict(system="paper-lqr-3x2", psi_scale=0.25, sigma=sigma))
+
+
+def _build_regmdp(config: ExperimentConfig):
+    S = config.states if config.states is not None else 5
+    A = config.actions if config.actions is not None else 5
+    gamma = config.gamma if config.gamma is not None else 0.9
+    tau_ent = config.tau if config.tau is not None else 0.1
+    mdp = regmdp_mod.make_regmdp(S, A, gamma=gamma, tau_ent=tau_ent,
+                                 seed=config.seed)
+    problem = regmdp_mod.RegMdpProblem(mdp)
+    return (problem, ResidualProbe(problem), None,
+            dict(states=S, actions=A, gamma=gamma, tau_ent=tau_ent,
+                 J_star=problem.J_star))
+
+
+# experiment -> (the instance keys its builder reads, builder)
+_BUILDERS = {
+    "synthetic-sc": (("dim", "sigma"), _build_synthetic),
+    "synthetic-pl": (("dim", "sigma"), _build_synthetic),
+    "synthetic-nc": (("dim", "sigma"), _build_synthetic),
+    "tdc": (("states", "actions", "dim", "gamma"), _build_tdc),
+    "lqr": (("sigma",), _build_lqr),
+    "regmdp": (("states", "actions", "gamma", "tau"), _build_regmdp),
+}
+EXPERIMENTS = tuple(_BUILDERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -347,72 +406,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Replica i draws from the stream (seed, 1, i); problems are built
     from the seed itself, so two arms run with the same seed see the
-    same instance.
+    same instance. TD(0) is the `standard` update of a problem without
+    an auxiliary variable.
     """
     schedule = (parse_schedule_spec(config.schedule)
                 if config.schedule is not None
                 else default_schedule(config.experiment, config.algo))
-    header_extra = {}
-    traces = []
-
-    if config.experiment.startswith("synthetic"):
-        problem, consts, init = _synthetic_problem(config)
-        probe = ResidualProbe(problem)
-        header_extra.update(L=consts.L, mu_G=consts.mu_G, B=consts.B)
-        if consts.mu_h is not None:
-            header_extra["mu_h"] = consts.mu_h
-        for i in range(config.runs):
-            traces.append(run(problem, config.algo, schedule, config.iters,
-                              seed=(config.seed, 1, i), probe=probe,
-                              stride=config.stride, init_state=init))
-    elif config.experiment == "tdc":
-        S = config.states if config.states is not None else 50
-        A = config.actions if config.actions is not None else 50
-        d = config.dim if config.dim is not None else 10
-        gamma = config.gamma if config.gamma is not None else 0.5
-        instance = tdc_mod.generate_instance(S, A, d, gamma, seed=config.seed)
-        header_extra.update(states=S, actions=A, dim=d, gamma=gamma)
-        if config.algo == "td0":
-            for i in range(config.runs):
-                traces.append(tdc_mod.run_td0(instance, schedule, config.iters,
-                                              seed=(config.seed, 1, i),
-                                              stride=config.stride))
-        else:
-            problem = tdc_mod.TdcProblem(instance)
-            probe = ResidualProbe(problem, extra_metrics={
-                "mspbe_pi": lambda th, om: tdc_mod.exact_mspbe(
-                    instance, th, weighting="target")})
-            for i in range(config.runs):
-                traces.append(run(problem, config.algo, schedule, config.iters,
-                                  seed=(config.seed, 1, i), probe=probe,
-                                  stride=config.stride))
-    elif config.experiment == "lqr":
-        sigma = config.sigma if config.sigma is not None else 0.5
-        system = lqr_mod.paper_lqr_3x2(psi_scale=0.25, sigma=sigma)
-        header_extra.update(system="paper-lqr-3x2", psi_scale=0.25, sigma=sigma)
-        for i in range(config.runs):
-            traces.append(lqr_mod.run_lqr(system, config.algo, schedule,
-                                          config.iters,
-                                          seed=(config.seed, 1, i),
-                                          stride=config.stride))
-    elif config.experiment == "regmdp":
-        S = config.states if config.states is not None else 5
-        A = config.actions if config.actions is not None else 5
-        gamma = config.gamma if config.gamma is not None else 0.9
-        tau_ent = config.tau if config.tau is not None else 0.1
-        mdp = regmdp_mod.make_regmdp(S, A, gamma=gamma, tau_ent=tau_ent,
-                                     seed=config.seed)
-        problem = regmdp_mod.RegMdpProblem(mdp)
-        probe = ResidualProbe(problem)
-        header_extra.update(states=S, actions=A, gamma=gamma, tau_ent=tau_ent,
-                            J_star=problem.J_star)
-        for i in range(config.runs):
-            traces.append(run(problem, config.algo, schedule, config.iters,
-                              seed=(config.seed, 1, i), probe=probe,
-                              stride=config.stride))
-    else:
-        raise UsageError(f"unknown experiment {config.experiment!r}")
-
+    build = _BUILDERS[config.experiment][1]
+    problem, probe, init, header_extra = build(config)
+    algo = "standard" if config.algo == "td0" else config.algo
+    traces = [run(problem, algo, schedule, config.iters,
+                  seed=(config.seed, 1, i), probe=probe,
+                  stride=config.stride, init_state=init)
+              for i in range(config.runs)]
     series = aggregate(traces)
     rate = _fit_rate(config, series)
     return ExperimentResult(config=config, series=series, schedule=schedule,

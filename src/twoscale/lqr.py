@@ -31,26 +31,26 @@ target, used by probes and tests only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .numerics import SeededRng, stability_test
-from .solver import StepSchedule, Trace
+from .solver import (ResidualProbe, SolverState, StepSchedule, Trace,
+                     TwoTimeScaleProblem, run)
 
 __all__ = [
-    "ActorCriticState",
     "Controller",
+    "LqrProblem",
     "LqrSystem",
     "UnstableSystemError",
-    "alg2_step",
     "cost_J",
     "dare_solve",
     "env_step",
+    "gap_probe",
     "goperator_residual",
-    "initial_actor_critic_state",
     "lyapunov_solve",
     "make_controller",
     "natural_gradient_exact",
@@ -59,7 +59,6 @@ __all__ = [
     "phi_feature",
     "run_lqr",
     "sigma_K",
-    "standard_actor_critic_step",
     "svec",
     "SYSTEM_PRESETS",
 ]
@@ -274,163 +273,80 @@ def env_step(system: LqrSystem, x, K, rng: SeededRng):
     return u, cost, x_next
 
 
-@dataclass
-class ActorCriticState:
-    """Actor gain, critic estimates, operator averages, and the pending
-    transition consumed by the next update."""
+class LqrProblem(TwoTimeScaleProblem):
+    """The single-loop actor-critic as a two-time-scale problem.
 
-    k: int
-    K: np.ndarray
-    J_hat: float
-    Omega_hat: np.ndarray
-    f: np.ndarray
-    gJ: float
-    gOmega: np.ndarray
-    x: np.ndarray                      # current state x_{k+1}
-    pending: tuple                     # (x_k, u_k, c_k)
-
-
-def initial_actor_critic_state(system: LqrSystem, rng: SeededRng,
-                               K0=None) -> ActorCriticState:
-    """Zero critic and averages; x0 ~ N(0, I); one priming interaction."""
-    d1, d2 = system.d1, system.d2
-    K0 = np.zeros((d2, d1)) if K0 is None else np.asarray(K0, float).copy()
-    x0 = rng.normal(d1)
-    u0, c0, x1 = env_step(system, x0, K0, rng)
-    n = d1 + d2
-    return ActorCriticState(
-        k=0, K=K0, J_hat=0.0, Omega_hat=np.zeros((n, n)),
-        f=np.zeros((d2, d1)), gJ=0.0, gOmega=np.zeros((n, n)),
-        x=x1, pending=(x0, u0, c0),
-    )
-
-
-def _critic_samples(system, state, u_new):
-    """Operator samples at the pre-update variables.
-
-    Returns (f_s, gJ_s, gOmega_s) where gOmega_s is the feature outer
-    product weighted by the temporal-difference residual of the joint
-    cost/curvature equation; the next pair is (x_{k+1}, u_{k+1}).
+    theta = K.ravel() and omega = [J_hat, Omega_hat.ravel()], flattened
+    so that the solver's elementwise updates are exactly the matrix
+    updates. The oracle is Markov: its env is (x_{k+1}, (x_k, u_k, c_k)),
+    the current state and the pending transition. One sample takes one
+    environment interaction with the current gain and returns
+    F = Omega_uu K - Omega_ux and G = [J_hat - c_k, td * (v v').ravel()],
+    with v = [x_k; u_k] and td the temporal-difference residual of the
+    joint equation between v and the next pair w = [x_{k+1}; u_{k+1}].
     """
-    d1 = system.d1
-    x_k, u_k, c_k = state.pending
-    v = np.concatenate([x_k, u_k])
-    w = np.concatenate([state.x, u_new])
-    Om = state.Omega_hat
-    td = float(v @ (Om @ v) - w @ (Om @ w) + state.J_hat - c_k)
-    f_s = Om[d1:, d1:] @ state.K - Om[d1:, :d1]
-    gJ_s = state.J_hat - c_k
-    gOmega_s = np.outer(v, v) * td
-    return f_s, gJ_s, gOmega_s
+
+    exact = None
+
+    def __init__(self, system: LqrSystem, K0=None):
+        self.system = system
+        d1, d2 = system.d1, system.d2
+        self.K0 = np.zeros((d2, d1)) if K0 is None else np.asarray(K0, float)
+        self.theta0 = self.K0.ravel()
+        self.dim_theta = d1 * d2
+        self.dim_omega = 1 + (d1 + d2) ** 2
+        self._d1, self._n = d1, d1 + d2
+
+    def init_env(self, rng: SeededRng):
+        """x0 ~ N(0, I), then one priming interaction with the gain K0."""
+        x0 = rng.normal(self.system.d1)
+        u0, c0, x1 = env_step(self.system, x0, self.K0, rng)
+        return x1, (x0, u0, c0)
+
+    def sample(self, theta, omega, env, rng: SeededRng):
+        d1, n = self._d1, self._n
+        K = theta.reshape(self.K0.shape)
+        J_hat, Om = omega[0], omega[1:].reshape(n, n)
+        x, (x_k, u_k, c_k) = env
+        u_new, c_new, x_new = env_step(self.system, x, K, rng)
+        v = np.concatenate([x_k, u_k])
+        w = np.concatenate([x, u_new])
+        td = float(v @ (Om @ v) - w @ (Om @ w) + J_hat - c_k)
+        F = Om[d1:, d1:] @ K - Om[d1:, :d1]
+        G = np.concatenate([[J_hat - c_k], (np.outer(v, v) * td).ravel()])
+        return F.ravel(), G, (x_new, (x, u_new, c_new))
 
 
-def alg2_step(state: ActorCriticState, system: LqrSystem,
-              schedule: StepSchedule, rng: SeededRng) -> ActorCriticState:
-    """One iteration of the averaged single-loop actor-critic.
+def gap_probe(problem: LqrProblem) -> ResidualProbe:
+    """Probe recording `gap` = J(K) - J(K_star), `y` = squared critic
+    error against (J(K), svec(Omega_K)), and `stabilizing`, all from one
+    P_K per row. A non-stabilizing gain reads NaN, which flags the run;
+    so `stabilizing` is 1.0 on every recorded row."""
+    system = problem.system
+    shape, n = (system.d2, system.d1), system.d1 + system.d2
 
-    Takes exactly one environment interaction (with the pre-update
-    gain), then applies the decision updates with the old averages and
-    refreshes the averages with operator samples evaluated at the
-    pre-update variables and the pending transition.
-    """
-    k = state.k
-    u_new, c_new, x_new = env_step(system, state.x, state.K, rng)
-    f_s, gJ_s, gOmega_s = _critic_samples(system, state, u_new)
-    lam = schedule.lam(k)
-    alpha = schedule.alpha(k)
-    beta = schedule.beta(k)
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"averaging weight {lam!r} outside (0, 1]")
-    K = state.K - alpha * state.f
-    J_hat = state.J_hat - beta * state.gJ
-    Omega_hat = state.Omega_hat - beta * state.gOmega
-    f = (1.0 - lam) * state.f + lam * f_s
-    gJ = (1.0 - lam) * state.gJ + lam * gJ_s
-    gOmega = (1.0 - lam) * state.gOmega + lam * gOmega_s
-    new = ActorCriticState(k + 1, K, J_hat, Omega_hat, f, gJ, gOmega,
-                           x=x_new, pending=(state.x, u_new, c_new))
-    total = float(K.sum() + J_hat + Omega_hat.sum() + f.sum() + gJ
-                  + gOmega.sum())
-    if not math.isfinite(total):
-        raise UnstableSystemError(f"non-finite actor-critic state at k={k}")
-    return new
+    def ground_truth(theta, omega):
+        try:
+            J_K, Om = _cost_and_omega(system, theta.reshape(shape))
+        except UnstableSystemError:
+            return math.nan, math.nan, 0.0
+        crit = np.concatenate([[omega[0] - J_K],
+                               svec(omega[1:].reshape(n, n)) - svec(Om)])
+        return J_K - system.J_star, float(crit @ crit), 1.0
 
-
-def standard_actor_critic_step(state: ActorCriticState, system: LqrSystem,
-                               schedule: StepSchedule,
-                               rng: SeededRng) -> ActorCriticState:
-    """Classic baseline: decision variables move along the raw operator
-    samples; the (f, gJ, gOmega) slots stay untouched."""
-    k = state.k
-    u_new, c_new, x_new = env_step(system, state.x, state.K, rng)
-    f_s, gJ_s, gOmega_s = _critic_samples(system, state, u_new)
-    alpha = schedule.alpha(k)
-    beta = schedule.beta(k)
-    K = state.K - alpha * f_s
-    J_hat = state.J_hat - beta * gJ_s
-    Omega_hat = state.Omega_hat - beta * gOmega_s
-    new = ActorCriticState(k + 1, K, J_hat, Omega_hat, state.f, state.gJ,
-                           state.gOmega, x=x_new,
-                           pending=(state.x, u_new, c_new))
-    if not math.isfinite(float(K.sum() + J_hat + Omega_hat.sum())):
-        raise UnstableSystemError(f"non-finite actor-critic state at k={k}")
-    return new
+    return ResidualProbe(problem, extra_names=("gap", "y", "stabilizing"),
+                         extra=ground_truth)
 
 
 def run_lqr(system: LqrSystem, algo: str, schedule: StepSchedule,
             n_iters: int, seed, stride: int = 1, K0=None) -> Trace:
-    """Run one actor-critic replica and probe it every `stride` steps.
-
-    Probed metrics: `gap` = J(K_k) - J(K_star), `y` = squared critic
-    error against (J(K_k), svec(Omega_{K_k})), and `stabilizing`
-    (always 1.0 on recorded rows). A non-stabilizing gain or non-finite
-    state flags and truncates the trace; no projection is applied.
-    """
-    if algo not in ("fast", "standard"):
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if n_iters < 1 or stride < 1:
-        raise ValueError("n_iters and stride must be >= 1")
-    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
-    J_star = system.J_star
-    state = initial_actor_critic_state(system, rng, K0=K0)
-    step = alg2_step if algo == "fast" else standard_actor_critic_step
-
-    names = ("gap", "y", "stabilizing")
-    ks, cols = [], {n: [] for n in names}
-    flagged, abort_k = False, None
-
-    def record(k):
-        try:
-            J_K, Om = _cost_and_omega(system, state.K)
-        except UnstableSystemError:
-            return False
-        crit = np.concatenate([[state.J_hat - J_K],
-                               svec(state.Omega_hat) - svec(Om)])
-        vals = (J_K - J_star, float(crit @ crit), 1.0)
-        if not np.all(np.isfinite(vals)):
-            return False
-        ks.append(k)
-        for n, v in zip(names, vals):
-            cols[n].append(v)
-        return True
-
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < n_iters:
-            if k % stride == 0 and not record(k):
-                flagged, abort_k = True, k
-                break
-            try:
-                state = step(state, system, schedule, rng)
-            except UnstableSystemError:
-                flagged, abort_k = True, k
-                break
-            k += 1
-        if not flagged and not record(n_iters):
-            flagged, abort_k = True, n_iters
-    return Trace(ks=np.asarray(ks, np.int64),
-                 metrics={n: np.asarray(c) for n, c in cols.items()},
-                 flagged=flagged, abort_k=abort_k)
+    """Run one actor-critic replica from gain K0 (default zero) and
+    record `gap_probe` metrics every `stride` steps. No projection is
+    applied: a non-stabilizing gain flags and truncates the trace."""
+    problem = LqrProblem(system, K0)
+    return run(problem, algo, schedule, n_iters, seed=seed,
+               probe=gap_probe(problem), stride=stride,
+               init_state=SolverState.zeros(problem, theta0=problem.theta0))
 
 
 def goperator_residual(system: LqrSystem, K, n_samples: int,

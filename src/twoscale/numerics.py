@@ -17,11 +17,9 @@ import scipy.linalg
 __all__ = [
     "SeededRng",
     "SingularMatrixError",
-    "categorical_sample",
-    "derive",
+    "inverse_cdf",
     "linear_solve",
     "stability_test",
-    "standard_normal",
 ]
 
 # Pivot threshold for linear_solve, relative to max |A_ij|.
@@ -48,10 +46,6 @@ class SeededRng:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    @classmethod
-    def derive(cls, seed, *stream) -> "SeededRng":
-        return cls(seed, stream)
-
     def uniform(self, size=None):
         """Uniform draws in [0, 1)."""
         return self._gen.random(size)
@@ -74,40 +68,17 @@ class SeededRng:
         z[1::2] = r * np.sin(a)
         return z[:n]
 
-    def standard_normal(self) -> float:
-        return float(self.normal(1)[0])
-
     def integers(self, low, high):
         return int(self._gen.integers(low, high))
 
 
-def derive(seed, *stream) -> SeededRng:
-    """Module-level alias for :meth:`SeededRng.derive`."""
-    return SeededRng(seed, stream)
+def inverse_cdf(cum: np.ndarray, u: float) -> int:
+    """Index drawn by one uniform `u` from a cumulative probability vector.
 
-
-def standard_normal(rng: SeededRng) -> float:
-    """One standard normal draw (Box-Muller, two uniforms consumed)."""
-    return rng.standard_normal()
-
-
-def categorical_sample(weights, rng: SeededRng) -> int:
-    """Inverse-CDF draw from a probability vector using one uniform.
-
-    `weights` must be nonnegative and sum to 1 within 1e-9.
+    Rounding can leave cum[-1] just below 1; a `u` past it maps to the
+    last index.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("weights must be a vector")
-    if np.any(w < 0.0):
-        raise ValueError("negative weight in categorical distribution")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-9")
-    cum = np.cumsum(w)
-    u = float(rng.uniform())
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, w.size - 1)
+    return min(int(cum.searchsorted(u, side="right")), cum.size - 1)
 
 
 def linear_solve(A, b) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .numerics import SeededRng, linear_solve
+from .numerics import SeededRng, inverse_cdf, linear_solve
 from .solver import ExactAccessors, TwoTimeScaleProblem
 
 __all__ = [
@@ -133,24 +133,18 @@ def visitation_exact(regmdp: RegMdp, policy) -> np.ndarray:
     return d
 
 
-def _draw(cum, u):
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, cum.size - 1)
-
-
-def _rollout(regmdp: RegMdp, cum_pi, cum_P, rng: SeededRng):
+def _rollout(gamma, cum_rho0, cum_pi, cum_P, rng: SeededRng):
     """Geometric-horizon rollout from rho0; returns (s, a, s').
 
     Per chain step: one stop-uniform, then action and successor draws.
     The stop state supplies the sampled transition.
     """
-    gamma = regmdp.gamma
-    s = _draw(np.cumsum(regmdp.rho0), float(rng.uniform()))
+    s = inverse_cdf(cum_rho0, float(rng.uniform()))
     while float(rng.uniform()) >= 1.0 - gamma:
-        a = _draw(cum_pi[s], float(rng.uniform()))
-        s = _draw(cum_P[s, a], float(rng.uniform()))
-    a = _draw(cum_pi[s], float(rng.uniform()))
-    sp = _draw(cum_P[s, a], float(rng.uniform()))
+        a = inverse_cdf(cum_pi[s], float(rng.uniform()))
+        s = inverse_cdf(cum_P[s, a], float(rng.uniform()))
+    a = inverse_cdf(cum_pi[s], float(rng.uniform()))
+    sp = inverse_cdf(cum_P[s, a], float(rng.uniform()))
     return s, a, sp
 
 
@@ -158,8 +152,9 @@ def sample_visitation(regmdp: RegMdp, theta, rng: SeededRng):
     """One (s, a, s') with s from the discounted visitation of the
     softmax policy, a from the policy, s' from the kernel."""
     policy = softmax_policy(theta)
-    return _rollout(regmdp, np.cumsum(policy, axis=1),
-                    np.cumsum(regmdp.P, axis=2), rng)
+    return _rollout(regmdp.gamma, np.cumsum(regmdp.rho0),
+                    np.cumsum(policy, axis=1), np.cumsum(regmdp.P, axis=2),
+                    rng)
 
 
 def _f_from_transition(regmdp, policy, log_pi, omega, transition):
@@ -256,6 +251,7 @@ class RegMdpProblem(TwoTimeScaleProblem):
         self._shape = (S, A)
         self.dim_theta = S * A
         self.dim_omega = S
+        self._cum_rho0 = np.cumsum(regmdp.rho0)
         self._cum_P = np.cumsum(regmdp.P, axis=2)
         _, _, J_star = soft_optimal(regmdp)
         self.J_star = J_star
@@ -268,17 +264,17 @@ class RegMdpProblem(TwoTimeScaleProblem):
             mean_g=lambda th, om: mean_G(regmdp, th.reshape(S, A), om),
         )
 
-    def sample(self, theta_flat, omega, rng: SeededRng):
+    def sample(self, theta_flat, omega, env, rng: SeededRng):
         regmdp = self.regmdp
         theta = theta_flat.reshape(self._shape)
         policy = softmax_policy(theta)
         log_pi = np.log(policy)
-        transition = _rollout(regmdp, np.cumsum(policy, axis=1),
-                              self._cum_P, rng)
+        transition = _rollout(regmdp.gamma, self._cum_rho0,
+                              np.cumsum(policy, axis=1), self._cum_P, rng)
         F = _f_from_transition(regmdp, policy, log_pi, omega, transition)
         s, a, sp = transition
         resid = (omega[s] - regmdp.r[s, a]
                  + regmdp.tau_ent * log_pi[s, a] - regmdp.gamma * omega[sp])
         G = np.zeros(regmdp.n_states)
         G[s] = resid
-        return F.ravel(), G
+        return F.ravel(), G, None

@@ -15,7 +15,9 @@ operator samples and moves the decision variables with those averages:
 The classic baseline (`standard`) applies the raw samples directly and
 is recovered structurally by lambda_k = 1 (with a one-step lag in which
 sample reaches the decision update, so it is implemented separately and
-literally).
+literally). Both run in the one loop of `run`; an oracle driven by a
+Markov chain (the actor-critic of `lqr`) carries the chain's state
+between samples as its `env`.
 """
 
 from __future__ import annotations
@@ -31,34 +33,22 @@ from .numerics import SeededRng
 __all__ = [
     "ConfigurationError",
     "ExactAccessors",
-    "NonFiniteError",
     "RateFit",
     "ResidualProbe",
     "SolverState",
     "StepSchedule",
     "Trace",
     "TwoTimeScaleProblem",
-    "averaging_update",
     "custom_schedule",
     "estimate_rate",
-    "fast_step",
     "make_polynomial_schedule",
     "make_sqrt_schedule",
     "run",
-    "standard_step",
 ]
 
 
 class ConfigurationError(ValueError):
     """Invalid algorithm configuration (step sizes, iteration counts)."""
-
-
-class NonFiniteError(RuntimeError):
-    """A state or sample turned non-finite; carries the iteration index."""
-
-    def __init__(self, iteration: int, what: str = "value"):
-        super().__init__(f"non-finite {what} at iteration {iteration}")
-        self.iteration = iteration
 
 
 @dataclass
@@ -84,15 +74,22 @@ class TwoTimeScaleProblem:
     """Joint stochastic oracle over decision and auxiliary variables.
 
     Subclasses set `dim_theta`, `dim_omega`, optionally `exact`, and
-    implement `sample`. One call to `sample` corresponds to one draw of
-    the underlying randomness, used for BOTH returned operator values.
+    implement `sample(theta, omega, env, rng) -> (F, G, env)`. One call
+    corresponds to one draw of the underlying randomness, used for BOTH
+    returned operator values. `env` is the Markov state an oracle
+    carries from one sample to the next; `init_env(rng)` draws the
+    first one. I.i.d. oracles ignore it and return None.
     """
 
     dim_theta: int
     dim_omega: int
     exact: Optional[ExactAccessors] = None
 
-    def sample(self, theta: np.ndarray, omega: np.ndarray, rng: SeededRng):
+    def init_env(self, rng: SeededRng):
+        return None
+
+    def sample(self, theta: np.ndarray, omega: np.ndarray, env,
+               rng: SeededRng):
         raise NotImplementedError
 
 
@@ -132,15 +129,6 @@ class StepSchedule:
     beta_fn: Callable[[int], float]
     params: dict = field(default_factory=dict)
     tau: Optional[float] = None
-
-    def lam(self, k: int) -> float:
-        return float(self.lam_fn(k))
-
-    def alpha(self, k: int) -> float:
-        return float(self.alpha_fn(k))
-
-    def beta(self, k: int) -> float:
-        return float(self.beta_fn(k))
 
     def tabulate(self, n: int):
         """Arrays of (lambda_k, alpha_k, beta_k) for k = 0 .. n-1."""
@@ -203,64 +191,6 @@ def custom_schedule(lam_fn, alpha_fn, beta_fn, params=None, tau=None) -> StepSch
                         beta_fn=beta_fn, params=dict(params or {}), tau=tau)
 
 
-def averaging_update(v: np.ndarray, lam: float, sample: np.ndarray) -> np.ndarray:
-    """(1 - lam) * v + lam * sample, elementwise; lam must lie in (0, 1]."""
-    v = np.asarray(v, dtype=float)
-    sample = np.asarray(sample, dtype=float)
-    if v.shape != sample.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {sample.shape}")
-    if not 0.0 < lam <= 1.0:
-        raise ConfigurationError(f"averaging weight must be in (0, 1], got {lam!r}")
-    return (1.0 - lam) * v + lam * sample
-
-
-def _require_finite(k: int, what: str, *arrays):
-    total = 0.0
-    for a in arrays:
-        total += float(np.sum(a))
-    if not math.isfinite(total):
-        raise NonFiniteError(k, what)
-
-
-def fast_step(state: SolverState, problem: TwoTimeScaleProblem,
-              schedule: StepSchedule, rng: SeededRng) -> SolverState:
-    """One iteration of the averaged algorithm.
-
-    Draws exactly one joint sample at the pre-update pair
-    (theta_k, omega_k), then applies the decision and estimation
-    updates.
-    """
-    k = state.k
-    _require_finite(k, "state", state.theta, state.omega, state.f, state.g)
-    F_s, G_s = problem.sample(state.theta, state.omega, rng)
-    F_s = np.asarray(F_s, dtype=float)
-    G_s = np.asarray(G_s, dtype=float)
-    _require_finite(k, "sample", F_s, G_s)
-    theta = state.theta - schedule.alpha(k) * state.f
-    omega = state.omega - schedule.beta(k) * state.g
-    f = averaging_update(state.f, schedule.lam(k), F_s)
-    g = averaging_update(state.g, schedule.lam(k), G_s)
-    return SolverState(k + 1, theta, omega, f, g)
-
-
-def standard_step(state: SolverState, problem: TwoTimeScaleProblem,
-                  schedule: StepSchedule, rng: SeededRng) -> SolverState:
-    """One iteration of the classic two-time-scale baseline.
-
-    theta and omega move along the raw sample drawn at the current
-    pair; the (f, g) slots are left untouched.
-    """
-    k = state.k
-    _require_finite(k, "state", state.theta, state.omega)
-    F_s, G_s = problem.sample(state.theta, state.omega, rng)
-    F_s = np.asarray(F_s, dtype=float)
-    G_s = np.asarray(G_s, dtype=float)
-    _require_finite(k, "sample", F_s, G_s)
-    theta = state.theta - schedule.alpha(k) * F_s
-    omega = state.omega - schedule.beta(k) * G_s
-    return SolverState(k + 1, theta, omega, state.f, state.g)
-
-
 @dataclass
 class Trace:
     """Recorded (iteration, metrics) series from one run.
@@ -284,23 +214,27 @@ class ResidualProbe:
     x = h(theta) - h*, V = ||delta_f||^2 + ||delta_g||^2 + (z or x) + y.
 
     Mean operators come from the problem's deterministic mean oracle
-    when available; otherwise from `mc_samples` Monte Carlo draws on
-    the probe's own stream (never the run's).
+    when available; otherwise from `mc_samples` Monte Carlo draws of an
+    i.i.d. oracle on the probe's own stream (never the run's). Without
+    either, the residuals (and V) are not recorded.
+
+    `extra(theta, omega)` returns one value per name in `extra_names`,
+    from one evaluation; they are recorded after the residual metrics.
     """
 
-    _ORDER = ("z", "x", "y", "grad_norm_sq", "delta_f_sq", "delta_g_sq", "V")
-
     def __init__(self, problem: TwoTimeScaleProblem, mc_samples: int = 10000,
-                 rng: Optional[SeededRng] = None, extra_metrics=None):
+                 rng: Optional[SeededRng] = None, extra_names=(), extra=None):
         self.problem = problem
         self.mc_samples = int(mc_samples)
         self.rng = rng
-        self.extra_metrics = dict(extra_metrics or {})
+        self.extra_names = tuple(extra_names)
+        self.extra = extra
         ex = problem.exact
         if ex is None:
             ex = ExactAccessors()
         self._ex = ex
         self._has_mean = ex.mean_f is not None and ex.mean_g is not None
+        self._has_residuals = self._has_mean or rng is not None
         self._has_grad = ex.grad_h is not None or (
             ex.omega_star is not None and ex.mean_f is not None)
 
@@ -315,23 +249,19 @@ class ResidualProbe:
             names.append("y")
         if self._has_grad:
             names.append("grad_norm_sq")
-        if include_residuals:
+        if include_residuals and self._has_residuals:
             names += ["delta_f_sq", "delta_g_sq"]
             if ("y" in names) and ("z" in names or "x" in names):
                 names.append("V")
-        names += list(self.extra_metrics)
-        return names
+        return names + list(self.extra_names)
 
     def _mean_ops(self, theta, omega):
         if self._has_mean:
             return self._ex.mean_f(theta, omega), self._ex.mean_g(theta, omega)
-        if self.rng is None:
-            raise ConfigurationError(
-                "problem has no mean oracle; probe needs its own rng")
         F_acc = np.zeros(self.problem.dim_theta)
         G_acc = np.zeros(self.problem.dim_omega)
         for _ in range(self.mc_samples):
-            F_s, G_s = self.problem.sample(theta, omega, self.rng)
+            F_s, G_s, _ = self.problem.sample(theta, omega, None, self.rng)
             F_acc += F_s
             G_acc += G_s
         return F_acc / self.mc_samples, G_acc / self.mc_samples
@@ -352,7 +282,7 @@ class ResidualProbe:
             grad = (ex.grad_h(theta) if ex.grad_h is not None
                     else ex.mean_f(theta, omega_star))
             out["grad_norm_sq"] = float(grad @ grad)
-        if f is not None and g is not None:
+        if f is not None and g is not None and self._has_residuals:
             F_bar, G_bar = self._mean_ops(theta, omega)
             df = f - F_bar
             dg = g - G_bar
@@ -361,8 +291,9 @@ class ResidualProbe:
             if "y" in out and ("z" in out or "x" in out):
                 out["V"] = (out["delta_f_sq"] + out["delta_g_sq"]
                             + out.get("z", out.get("x")) + out["y"])
-        for name, fn in self.extra_metrics.items():
-            out[name] = float(fn(theta, omega))
+        if self.extra is not None:
+            for name, v in zip(self.extra_names, self.extra(theta, omega)):
+                out[name] = float(v)
         return out
 
 
@@ -371,10 +302,11 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
         stride: int = 1, init_state: Optional[SolverState] = None) -> Trace:
     """Run one replica and record probe metrics every `stride` iterations.
 
-    `seed` may be an int, a tuple of ints, or a SeededRng. The trace is
-    a pure function of (problem, algo, schedule, n_iters, seed, stride,
-    init_state). A non-finite sample or metric truncates the trace at
-    the failure point and flags it.
+    `seed` may be an int, a tuple of ints, or a SeededRng; the oracle's
+    first `env` is drawn from that stream before anything else. The
+    trace is a pure function of (problem, algo, schedule, n_iters, seed,
+    stride, init_state). A non-finite sample or metric truncates the
+    trace at the failure point and flags it.
     """
     if algo not in ("fast", "standard"):
         raise ConfigurationError(f"unknown algorithm {algo!r}")
@@ -409,17 +341,16 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
             return True
         vals = probe.compute(theta, omega, f if fast else None,
                              g if fast else None)
-        total = 0.0
-        for name in names:
-            total += vals[name]
-        if not math.isfinite(total):
+        row = [vals[name] for name in names]
+        if not all(map(math.isfinite, row)):
             return False
         ks.append(k)
-        for name in names:
-            cols[name].append(vals[name])
+        for name, v in zip(names, row):
+            cols[name].append(v)
         return True
 
     sample = problem.sample
+    env = problem.init_env(rng)
     k = 0
     # divergence is a reported outcome, not an error: overflow inside
     # the update arithmetic must not warn, only flag
@@ -428,8 +359,8 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
             if k % stride == 0 and not record(k):
                 flagged, abort_k = True, k
                 break
-            F_s, G_s = sample(theta, omega, rng)
-            if not math.isfinite(float(np.sum(F_s)) + float(np.sum(G_s))):
+            F_s, G_s, env = sample(theta, omega, env, rng)
+            if not math.isfinite(F_s.sum() + G_s.sum()):
                 flagged, abort_k = True, k
                 break
             if fast:

@@ -27,7 +27,6 @@ __all__ = [
     "make_nonconvex",
     "make_pl",
     "make_quadratic",
-    "oracle_sample",
 ]
 
 
@@ -58,7 +57,8 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
     def mean_g(self, theta, omega):
         return self.C @ (omega - (self.W @ theta + self.b))
 
-    def sample(self, theta, omega, rng: SeededRng):
+    def sample(self, theta, omega, env, rng: SeededRng):
+        """One normal block: decision-operator noise, then auxiliary."""
         dw = omega - (self.W @ theta + self.b)
         F = self.grad_h(theta) + self.D @ dw
         G = self.C @ dw
@@ -67,7 +67,7 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
             z = rng.normal(d + self.dim_omega)
             F = F + self.sigma_noise * z[:d]
             G = G + self.sigma_noise * z[d:]
-        return F, G
+        return F, G, None
 
     def _shared_norms(self):
         return (
@@ -248,13 +248,3 @@ def make_nonconvex(d: int, r: int, seed, sigma_noise: float = 0.1,
     theta0 = np.pi * (0.2 + 0.6 * rng.uniform(d))
     problem = NonconvexProblem(d, W, b, C, D, sigma_noise, theta0)
     return problem, problem.structural_constants()
-
-
-def oracle_sample(problem: _CoupledGaussianProblem, theta, omega,
-                  rng: SeededRng):
-    """One joint draw of the sampled operator pair at (theta, omega).
-
-    Consumption order is fixed: one normal block, decision-operator
-    noise first, then auxiliary-operator noise.
-    """
-    return problem.sample(theta, omega, rng)

@@ -20,12 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import SeededRng, SingularMatrixError, linear_solve
-from .solver import ExactAccessors, StepSchedule, Trace, TwoTimeScaleProblem
+from .numerics import (SeededRng, SingularMatrixError, inverse_cdf,
+                       linear_solve)
+from .solver import (ExactAccessors, ResidualProbe, StepSchedule, Trace,
+                     TwoTimeScaleProblem, run)
 
 __all__ = [
     "LinearFeatures",
     "TabularMdp",
+    "Td0Problem",
     "TdcInstance",
     "TdcProblem",
     "bellman_reward",
@@ -34,6 +37,7 @@ __all__ = [
     "exact_omega_star",
     "generate_instance",
     "load_instance",
+    "mspbe_probe",
     "run_td0",
     "sample_transition",
     "sample_transitions",
@@ -226,16 +230,11 @@ def generate_instance(n_states: int, n_actions: int, d: int, gamma: float,
                        theta_star, seed=seed)
 
 
-def _draw(cum: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, cum.size - 1)
-
-
 def sample_transition(instance: TdcInstance, rng: SeededRng):
     """One i.i.d. transition (s, a, s'): s ~ mu_b, a ~ pi_b, s' ~ P."""
-    s = _draw(instance._cum_mu, float(rng.uniform()))
-    a = _draw(instance._cum_pib[s], float(rng.uniform()))
-    sp = _draw(instance._cum_P[s, a], float(rng.uniform()))
+    s = inverse_cdf(instance._cum_mu, float(rng.uniform()))
+    a = inverse_cdf(instance._cum_pib[s], float(rng.uniform()))
+    sp = inverse_cdf(instance._cum_P[s, a], float(rng.uniform()))
     return s, a, sp
 
 
@@ -334,52 +333,53 @@ class TdcProblem(TwoTimeScaleProblem):
             mean_g=instance.mean_g,
         )
 
-    def sample(self, theta, omega, rng: SeededRng):
-        return tdc_sample(self.instance, theta, omega,
+    def sample(self, theta, omega, env, rng: SeededRng):
+        F, G = tdc_sample(self.instance, theta, omega,
                           sample_transition(self.instance, rng))
+        return F, G, None
+
+
+class Td0Problem(TwoTimeScaleProblem):
+    """Importance-weighted TD(0): one variable, no auxiliary (dim_omega
+    = 0). Under `standard`, theta moves along the raw td0_sample."""
+
+    dim_omega = 0
+
+    def __init__(self, instance: TdcInstance):
+        self.instance = instance
+        self.dim_theta = instance.features.Phi.shape[1]
+        self.exact = ExactAccessors(
+            theta_star=instance.theta_star.copy(),
+            h=lambda th: exact_mspbe(instance, th),
+            h_star=0.0,
+        )
+
+    def sample(self, theta, omega, env, rng: SeededRng):
+        # the empty omega doubles as the empty auxiliary operator
+        return td0_sample(self.instance, theta,
+                          sample_transition(self.instance, rng)), omega, None
+
+
+def mspbe_probe(problem) -> ResidualProbe:
+    """Residual probe of a TdcProblem or Td0Problem that also records
+    `mspbe_pi`, the projected Bellman error under the target policy's
+    stationary weighting."""
+    instance = problem.instance
+
+    def target_mspbe(theta, omega):
+        return (exact_mspbe(instance, theta, weighting="target"),)
+
+    return ResidualProbe(problem, extra_names=("mspbe_pi",),
+                         extra=target_mspbe)
 
 
 def run_td0(instance: TdcInstance, schedule: StepSchedule, n_iters: int,
             seed, stride: int = 1) -> Trace:
     """Single-variable TD(0) baseline run, recording z and the
     projected Bellman errors at every stride."""
-    if n_iters < 1 or stride < 1:
-        raise ValueError("n_iters and stride must be >= 1")
-    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
-    _, alp_t, _ = schedule.tabulate(n_iters)
-    theta = np.zeros(instance.features.Phi.shape[1])
-    theta_star = instance.theta_star
-    names = ("z", "x", "mspbe_pi")
-    ks, cols = [], {n: [] for n in names}
-    flagged, abort_k = False, None
-
-    def record(k):
-        d = theta - theta_star
-        vals = (float(d @ d), exact_mspbe(instance, theta),
-                exact_mspbe(instance, theta, weighting="target"))
-        if not np.all(np.isfinite(vals)):
-            return False
-        ks.append(k)
-        for n, v in zip(names, vals):
-            cols[n].append(v)
-        return True
-
-    k = 0
-    while k < n_iters:
-        if k % stride == 0 and not record(k):
-            flagged, abort_k = True, k
-            break
-        sample = td0_sample(instance, theta, sample_transition(instance, rng))
-        if not np.isfinite(float(sample.sum())):
-            flagged, abort_k = True, k
-            break
-        theta = theta - alp_t[k] * sample
-        k += 1
-    if not flagged and not record(n_iters):
-        flagged, abort_k = True, n_iters
-    return Trace(ks=np.asarray(ks, np.int64),
-                 metrics={n: np.asarray(c) for n, c in cols.items()},
-                 flagged=flagged, abort_k=abort_k)
+    problem = Td0Problem(instance)
+    return run(problem, "standard", schedule, n_iters, seed=seed,
+               probe=mspbe_probe(problem), stride=stride)
 
 
 # --- flat text serialization ------------------------------------------------

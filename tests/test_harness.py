@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -56,11 +57,11 @@ def test_td0_only_valid_with_tdc():
 
 
 def test_schedule_spec_reference_constants():
-    s = parse_schedule_spec("appendixD")
-    assert s.alpha(0) == 5e-4 and s.alpha(99999) == 5e-4
-    assert s.beta(12) == 2e-3
-    assert s.lam(0) == pytest.approx(0.08, abs=1e-15)
-    assert s.lam(40) == pytest.approx(0.016, abs=1e-15)
+    lam, alp, bet = parse_schedule_spec("appendixD").tabulate(100000)
+    assert alp[0] == 5e-4 and alp[99999] == 5e-4
+    assert bet[12] == 2e-3
+    assert lam[0] == pytest.approx(0.08, abs=1e-15)
+    assert lam[40] == pytest.approx(0.016, abs=1e-15)
 
 
 def test_schedule_spec_poly_and_sqrt():
@@ -198,6 +199,37 @@ def test_arm_shares_instance_across_algos():
     assert r_fast.series.means["z"][0] == r_std.series.means["z"][0]
 
 
+# SHA-256 of render_csv for every (experiment, algo) arm at iters=600,
+# runs=2, seed=7, stride=50, recorded from the code before the update
+# rules were folded into `solver.run`: the one loop reproduces the
+# hand-written ones byte for byte.
+GOLDEN_CSV_SHA256 = {
+    ("synthetic-sc", "fast"): "236d2460a8c27cec83d3a6241fc1d74825fee1246abc91e85d5438adeda09a21",
+    ("synthetic-sc", "standard"): "184fb3bb2c89bded705270cd0b86c8ef523b3afe78b815aa7c4f0621b53c472b",
+    ("synthetic-pl", "fast"): "b30ac8ce336b242dac00157db7193ea0a3075c124519272f116ed5b752d3cbf7",
+    ("synthetic-pl", "standard"): "3806d5fb76bc59f0b0316672c077f56769d553e75bba3aeabfe1a76de0d358fb",
+    ("synthetic-nc", "fast"): "594de340a331fe22267a40f4ad538892ce3c72f766f51712d605eeaac26afc35",
+    ("synthetic-nc", "standard"): "e6ae0bf62b2bf8fbdd9426e195e622b9f8dd4bc37478eb07c83e4809b4dc52c7",
+    ("tdc", "fast"): "8e7387c37d538ebff3e341740e6c8e5b078b36b98a75ecb334d543a54136675e",
+    ("tdc", "standard"): "849ed47149906a9032f281be11654f94f0c33e0a5a39065f8100e3919fdc2dc3",
+    ("tdc", "td0"): "a8ed341fa86b19d511e603e1e44d875af9781c7a284153141e6389f9a5de6e9f",
+    ("lqr", "fast"): "0c2144edab46cfd14b26bd5c7bcef562af8e06a595b60c5b5f574441d9aa4351",
+    ("lqr", "standard"): "5efe96f283a28b5540c7f10c2442437ec135e30b68fddfec09c091f04175b277",
+    ("regmdp", "fast"): "77e2e645eaa945e3007ee5a6e8532f6b11b1e17e7e37117c7138f35a96622e74",
+    ("regmdp", "standard"): "395f04bd792eb9f39b9e984323b5ea31ccb68bf66df91035f24261ab27e3b468",
+}
+
+
+def test_csv_bytes_match_golden_digests():
+    got = {}
+    for experiment, algo in GOLDEN_CSV_SHA256:
+        cfg = ExperimentConfig(experiment=experiment, algo=algo, iters=600,
+                               runs=2, seed=7, stride=50)
+        text = render_csv(run_experiment(cfg))
+        got[experiment, algo] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GOLDEN_CSV_SHA256
+
+
 # --- CLI ----------------------------------------------------------------------------
 
 def _cli(*args):
@@ -242,6 +274,36 @@ def test_cli_rejects_values_outside_their_domain(tmp_path, experiment, flag,
     assert r.returncode == 1
     assert r.stderr.startswith(f"error: {flag[2:]} must")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,flags,unread", [
+    ("synthetic-sc", ("--tau", "5", "--gamma", "0.3", "--states", "7"),
+     "states, gamma, tau"),
+    ("synthetic-nc", ("--states", "7"), "states"),
+    ("tdc", ("--sigma", "0.1"), "sigma"),
+    ("lqr", ("--dim", "3"), "dim"),
+    ("lqr", ("--gamma", "0.3"), "gamma"),
+    ("regmdp", ("--dim", "2"), "dim"),
+])
+def test_cli_rejects_keys_the_experiment_does_not_read(tmp_path, experiment,
+                                                       flags, unread):
+    out = tmp_path / "x.csv"
+    r = _cli("run", experiment, *flags, "--iters", "100", "--runs", "1",
+             "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr == f"error: experiment {experiment} does not read {unread}\n"
+    assert not out.exists()
+
+
+def test_config_file_key_the_experiment_does_not_read(tmp_path):
+    f = tmp_path / "cfg.txt"
+    f.write_text("experiment=lqr\nstates=4\n")
+    with pytest.raises(UsageError, match="does not read states"):
+        parse_config({}, config_file=str(f))
+    # every key an experiment reads is accepted
+    ExperimentConfig(experiment="regmdp", states=3, actions=2, gamma=0.5,
+                     tau=0.2)
+    ExperimentConfig(experiment="tdc", states=3, actions=2, dim=2, gamma=0.5)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

@@ -6,15 +6,14 @@ import scipy.linalg
 
 import twoscale.lqr as lqr_mod
 
-from twoscale.lqr import (ActorCriticState, LqrSystem, UnstableSystemError,
-                          alg2_step, cost_J, dare_solve, env_step,
-                          goperator_residual, initial_actor_critic_state,
-                          lyapunov_solve, make_controller,
+from twoscale.lqr import (LqrProblem, LqrSystem, UnstableSystemError,
+                          cost_J, dare_solve, env_step, gap_probe,
+                          goperator_residual, lyapunov_solve, make_controller,
                           natural_gradient_exact, omega_exact, paper_lqr_3x2,
-                          phi_feature, run_lqr, sigma_K,
-                          standard_actor_critic_step, svec)
+                          phi_feature, run_lqr, sigma_K, svec)
 from twoscale.numerics import SeededRng, stability_test
-from twoscale.solver import custom_schedule, make_polynomial_schedule
+from twoscale.solver import (SolverState, custom_schedule,
+                             make_polynomial_schedule, run)
 
 # Average cost of the zero gain on the benchmark system with identity
 # state noise and no exploration; frozen from the Lyapunov fixed point.
@@ -297,82 +296,106 @@ def test_optimal_controller_is_stabilizing():
 
 
 # --- online algorithm ------------------------------------------------------------
+#
+# One `run` step of LqrProblem against straight-line transcriptions of
+# the actor-critic. Variables are flattened: theta = K.ravel(), omega =
+# [J_hat, Omega_hat.ravel()], and likewise the averages f and (gJ, gOmega).
+
+def flat_state(K, J_hat, Omega_hat, f, gJ, gOmega):
+    return SolverState(0, np.ravel(K), np.concatenate([[J_hat],
+                                                       np.ravel(Omega_hat)]),
+                       np.ravel(f), np.concatenate([[gJ], np.ravel(gOmega)]))
+
+
+def primed(system, rng):
+    """Transcription of LqrProblem.init_env with the zero gain: x0 ~ N(0,
+    I), then one interaction; returns (x1, (x0, u0, c0))."""
+    x0 = rng.normal(system.d1)
+    u0 = system.sigma * rng.normal(system.d2)
+    c0 = x0 @ system.Q @ x0 + u0 @ system.R @ u0
+    x1 = system.A @ x0 + system.B @ u0 \
+        + np.linalg.cholesky(system.Psi) @ rng.normal(system.d1)
+    return x1, (x0, u0, c0)
+
 
 def test_alg2_step_zero_averages_keep_decision_variables():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
-    state = initial_actor_critic_state(system, SeededRng(10))
+    problem = LqrProblem(system)
     sched = make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
-    nxt = alg2_step(state, system, sched, SeededRng(11))
-    assert np.array_equal(nxt.K, state.K)
-    assert nxt.J_hat == state.J_hat
-    assert np.array_equal(nxt.Omega_hat, state.Omega_hat)
+    nxt = run(problem, "fast", sched, 1, seed=11).final_state
+    assert np.array_equal(nxt.theta, np.zeros(6))
+    assert np.array_equal(nxt.omega, np.zeros(26))
+    assert np.abs(nxt.f).max() == 0.0   # Omega_hat = 0 gives F = 0
+    assert nxt.g[0] != 0.0              # J_hat - c_0
 
 
 def test_alg2_step_lambda_one_full_replacement():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
-    rng = SeededRng(12)
-    state = initial_actor_critic_state(system, rng)
-    state.Omega_hat = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-    state.K = rng.normal(6).reshape(2, 3)
+    K = SeededRng(12).normal(6).reshape(2, 3)
+    Omega_hat = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    state = flat_state(K, 0.0, Omega_hat, np.zeros(6), 0.0, np.zeros(25))
     sched = custom_schedule(lambda k: 1.0, lambda k: 0.0, lambda k: 0.0)
-    nxt = alg2_step(state, system, sched, SeededRng(13))
-    expected = state.Omega_hat[3:, 3:] @ state.K - state.Omega_hat[3:, :3]
-    assert np.array_equal(nxt.f, expected)
+    nxt = run(LqrProblem(system), "fast", sched, 1, seed=13,
+              init_state=state).final_state
+    expected = Omega_hat[3:, 3:] @ K - Omega_hat[3:, :3]
+    assert np.array_equal(nxt.f, expected.ravel())
 
 
 def test_alg2_step_matches_straight_line_transcription():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
-    rng_init = SeededRng(11)
-    state = initial_actor_critic_state(system, rng_init)
-    state.Omega_hat = np.eye(5) * 0.3
-    state.f = np.full((2, 3), 0.1)
-    state.gJ = -0.2
-    state.gOmega = np.eye(5) * 0.05
-    state.J_hat = 0.7
+    problem = LqrProblem(system)
+    K, J_hat, Omega_hat = np.zeros((2, 3)), 0.7, np.eye(5) * 0.3
+    f, gJ, gOmega = np.full((2, 3), 0.1), -0.2, np.eye(5) * 0.05
+    state = flat_state(K, J_hat, Omega_hat, f, gJ, gOmega)
     sched = make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
-    nxt = alg2_step(state, system, sched, SeededRng(11))
+    nxt = run(problem, "fast", sched, 1, seed=11,
+              init_state=state).final_state
 
-    # independent transcription
+    # independent transcription, on the same stream after the priming
     rng = SeededRng(11)
-    u_new = -(state.K @ state.x) + system.sigma * rng.normal(2)
-    c_new = state.x @ system.Q @ state.x + u_new @ system.R @ u_new
-    x_new = system.A @ state.x + system.B @ u_new \
+    x, (x_k, u_k, c_k) = primed(system, rng)
+    u_new = -(K @ x) + system.sigma * rng.normal(2)
+    c_new = x @ system.Q @ x + u_new @ system.R @ u_new
+    x_new = system.A @ x + system.B @ u_new \
         + np.linalg.cholesky(system.Psi) @ rng.normal(3)
-    x_k, u_k, c_k = state.pending
     lam, alpha, beta = 40.0 / 401.0, 8.0 / 401.0, 10.0 / 401.0
     v = np.concatenate([x_k, u_k])
-    w = np.concatenate([state.x, u_new])
-    td = float(v @ (state.Omega_hat @ v) - w @ (state.Omega_hat @ w)
-               + state.J_hat - c_k)
-    K = state.K - alpha * state.f
-    J = state.J_hat - beta * state.gJ
-    Om = state.Omega_hat - beta * state.gOmega
-    f = (1 - lam) * state.f + lam * (state.Omega_hat[3:, 3:] @ state.K
-                                     - state.Omega_hat[3:, :3])
-    gJ = (1 - lam) * state.gJ + lam * (state.J_hat - c_k)
-    gOm = (1 - lam) * state.gOmega + lam * (np.outer(v, v) * td)
+    w = np.concatenate([x, u_new])
+    td = float(v @ (Omega_hat @ v) - w @ (Omega_hat @ w) + J_hat - c_k)
+    K1 = K - alpha * f
+    J1 = J_hat - beta * gJ
+    Om1 = Omega_hat - beta * gOmega
+    f1 = (1 - lam) * f + lam * (Omega_hat[3:, 3:] @ K - Omega_hat[3:, :3])
+    gJ1 = (1 - lam) * gJ + lam * (J_hat - c_k)
+    gOm1 = (1 - lam) * gOmega + lam * (np.outer(v, v) * td)
 
-    assert np.array_equal(nxt.K, K)
-    assert nxt.J_hat == J
-    assert np.array_equal(nxt.Omega_hat, Om)
-    assert np.array_equal(nxt.f, f)
-    assert nxt.gJ == gJ
-    assert np.array_equal(nxt.gOmega, gOm)
-    assert np.array_equal(nxt.x, x_new)
-    assert np.array_equal(nxt.pending[0], state.x)
-    assert np.array_equal(nxt.pending[1], u_new)
-    assert nxt.pending[2] == c_new
+    assert np.array_equal(nxt.theta, K1.ravel())
+    assert nxt.omega[0] == J1
+    assert np.array_equal(nxt.omega[1:], Om1.ravel())
+    assert np.array_equal(nxt.f, f1.ravel())
+    assert nxt.g[0] == gJ1
+    assert np.array_equal(nxt.g[1:], gOm1.ravel())
+    # the oracle hands the next step the new state and pending transition
+    rng = SeededRng(11)
+    env = problem.init_env(rng)
+    _, _, (x_next, pending) = problem.sample(state.theta, state.omega, env,
+                                             rng)
+    assert np.array_equal(x_next, x_new)
+    assert np.array_equal(pending[0], x)
+    assert np.array_equal(pending[1], u_new)
+    assert pending[2] == c_new
 
 
 def test_omega_hat_stays_symmetric():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
+    problem = LqrProblem(system)
     sched = make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
-    rng = SeededRng(14)
-    state = initial_actor_critic_state(system, rng)
-    for _ in range(200):
-        state = alg2_step(state, system, sched, rng)
-        assert np.array_equal(state.Omega_hat, state.Omega_hat.T)
-        assert np.array_equal(state.gOmega, state.gOmega.T)
+    for n in range(1, 201, 19):
+        state = run(problem, "fast", sched, n, seed=14).final_state
+        Omega_hat = state.omega[1:].reshape(5, 5)
+        gOmega = state.g[1:].reshape(5, 5)
+        assert np.array_equal(Omega_hat, Omega_hat.T)
+        assert np.array_equal(gOmega, gOmega.T)
 
 
 def test_run_lqr_deterministic_and_converging():
@@ -417,19 +440,18 @@ def test_run_lqr_metrics_match_exact_solvers():
     P_star = scipy.linalg.solve_discrete_are(A, B, Q, R)
     J_star = truth(np.linalg.solve(R + B.T @ P_star @ B,
                                    B.T @ P_star @ A))[0]
-    # replay the replica step by step and evaluate the ground truth apart
-    rng = SeededRng((2, 0))
-    state = initial_actor_critic_state(system, rng)
+    # replay the replica up to each recorded k (the same stream gives the
+    # same iterates) and evaluate the ground truth apart
+    problem = LqrProblem(system)
     J, y = [], []
-    for k in range(n_iters + 1):
-        if k % stride == 0:
-            J_K, Om = truth(state.K)
-            crit = np.concatenate([[state.J_hat - J_K],
-                                   svec(state.Omega_hat) - svec(Om)])
-            J.append(J_K)
-            y.append(float(crit @ crit))
-        if k < n_iters:
-            state = alg2_step(state, system, sched, rng)
+    for k in range(0, n_iters + 1, stride):
+        state = (SolverState.zeros(problem) if k == 0 else
+                 run(problem, "fast", sched, k, seed=(2, 0)).final_state)
+        J_K, Om = truth(state.theta.reshape(2, 3))
+        crit = np.concatenate([[state.omega[0] - J_K],
+                               svec(state.omega[1:].reshape(5, 5)) - svec(Om)])
+        J.append(J_K)
+        y.append(float(crit @ crit))
     assert np.array_equal(trace.ks, np.arange(0, n_iters + 1, stride))
     # gap = J(K) - J*, so its error is relative to J, not to the gap
     assert np.allclose(trace.metrics["gap"] + J_star, J, rtol=1e-12, atol=0)
@@ -448,25 +470,36 @@ def test_run_lqr_flags_unstable_start():
 
 def test_standard_step_literal_form():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
-    rng = SeededRng(15)
-    state = initial_actor_critic_state(system, rng)
-    state.Omega_hat = np.eye(5) * 0.2
-    state.J_hat = 0.5
+    K = SeededRng(15).normal(6).reshape(2, 3) * 0.1
+    J_hat, Omega_hat = 0.5, np.eye(5) * 0.2
+    state = flat_state(K, J_hat, Omega_hat, np.zeros(6), 0.0, np.zeros(25))
     sched = custom_schedule(lambda k: 1.0, lambda k: 0.01, lambda k: 0.02)
-    nxt = standard_actor_critic_step(state, system, sched, SeededRng(16))
-    rng2 = SeededRng(16)
-    u_new = -(state.K @ state.x) + system.sigma * rng2.normal(2)
-    x_k, u_k, c_k = state.pending
+    nxt = run(LqrProblem(system), "standard", sched, 1, seed=16,
+              init_state=state).final_state
+    rng = SeededRng(16)
+    x, (x_k, u_k, c_k) = primed(system, rng)
+    u_new = -(K @ x) + system.sigma * rng.normal(2)
     v = np.concatenate([x_k, u_k])
-    w = np.concatenate([state.x, u_new])
-    td = float(v @ (state.Omega_hat @ v) - w @ (state.Omega_hat @ w)
-               + state.J_hat - c_k)
+    w = np.concatenate([x, u_new])
+    td = float(v @ (Omega_hat @ v) - w @ (Omega_hat @ w) + J_hat - c_k)
     assert np.array_equal(
-        nxt.K, state.K - 0.01 * (state.Omega_hat[3:, 3:] @ state.K
-                                 - state.Omega_hat[3:, :3]))
-    assert nxt.J_hat == state.J_hat - 0.02 * (state.J_hat - c_k)
+        nxt.theta, (K - 0.01 * (Omega_hat[3:, 3:] @ K
+                                - Omega_hat[3:, :3])).ravel())
+    assert nxt.omega[0] == J_hat - 0.02 * (J_hat - c_k)
     assert np.array_equal(
-        nxt.Omega_hat, state.Omega_hat - 0.02 * (np.outer(v, v) * td))
+        nxt.omega[1:], (Omega_hat - 0.02 * (np.outer(v, v) * td)).ravel())
+
+
+def test_gap_probe_reads_nonfinite_for_unstable_gain():
+    system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
+    probe = gap_probe(LqrProblem(system))
+    assert probe.metric_names() == ["gap", "y", "stabilizing"]
+    vals = probe.compute(np.full(6, -5.0), np.zeros(26))
+    assert math.isnan(vals["gap"]) and math.isnan(vals["y"])
+    _, K_star = dare_solve(system)
+    vals = probe.compute(K_star.ravel(), np.zeros(26))
+    assert vals["gap"] == pytest.approx(0.0, abs=1e-12)
+    assert vals["stabilizing"] == 1.0
 
 
 def test_goperator_residual_shrinks_as_sqrt_n():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from twoscale.numerics import (SeededRng, SingularMatrixError,
-                               categorical_sample, derive, linear_solve,
-                               stability_test, standard_normal)
+from twoscale.numerics import (SeededRng, SingularMatrixError, inverse_cdf,
+                               linear_solve, stability_test)
 
 # First Box-Muller draw at seed 1, recorded once and frozen so the
 # uniform-to-normal mapping can never drift silently.
@@ -12,7 +11,7 @@ FROZEN_FIRST_NORMAL = 1.1400201457287324
 
 
 def test_standard_normal_frozen_first_draw():
-    assert standard_normal(SeededRng(1)) == FROZEN_FIRST_NORMAL
+    assert SeededRng(1).normal(1)[0] == FROZEN_FIRST_NORMAL
 
 
 def test_standard_normal_moments():
@@ -31,8 +30,8 @@ def test_normal_vector_prefix_consistency():
 
 def test_stream_independence():
     n = 100000
-    a = derive(7, 0).uniform(n)
-    b = derive(7, 1).uniform(n)
+    a = SeededRng(7, 0).uniform(n)
+    b = SeededRng(7, 1).uniform(n)
     rho = np.corrcoef(a, b)[0, 1]
     assert abs(rho) < 0.01
     assert not np.array_equal(a, b)
@@ -42,6 +41,11 @@ def test_same_stream_replays():
     a = SeededRng(42, stream=(3,)).uniform(50)
     b = SeededRng(42, stream=(3,)).uniform(50)
     assert np.array_equal(a, b)
+
+
+def categorical_sample(weights, rng):
+    """One inverse-CDF draw, as the samplers make them."""
+    return inverse_cdf(np.cumsum(weights), float(rng.uniform()))
 
 
 def test_categorical_degenerate():
@@ -67,12 +71,14 @@ def test_categorical_chi_squared():
     assert chi2 < stats.chi2.ppf(0.999, df=2)
 
 
-def test_categorical_validation():
-    rng = SeededRng(0)
-    with pytest.raises(ValueError):
-        categorical_sample([0.5, -0.1, 0.6], rng)
-    with pytest.raises(ValueError):
-        categorical_sample([0.5, 0.6], rng)
+def test_inverse_cdf_bin_edges_and_rounding_tail():
+    cum = np.array([0.25, 0.5, 1.0 - 1e-16])
+    assert inverse_cdf(cum, 0.0) == 0
+    assert inverse_cdf(cum, 0.25) == 1      # a bin owns its left edge
+    assert inverse_cdf(cum, 0.7) == 2
+    # a uniform past a cumulative sum rounded below 1: the last bin
+    assert inverse_cdf(cum, 1.0 - 1e-17) == 2
+    assert inverse_cdf(np.array([1.0, 1.0]), 0.999) == 0
 
 
 def test_linear_solve_identity():

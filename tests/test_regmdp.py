@@ -342,7 +342,7 @@ def test_adapter_sample_matches_public_ops():
     problem = RegMdpProblem(m)
     theta = SeededRng(38).normal(12)
     omega = SeededRng(39).normal(4)
-    F1, G1 = problem.sample(theta, omega, SeededRng(40))
+    F1, G1, _ = problem.sample(theta, omega, None, SeededRng(40))
     transition = sample_visitation(m, theta.reshape(4, 3), SeededRng(40))
     F2 = sample_F(m, theta.reshape(4, 3), omega, transition)
     G2 = sample_G(m, theta.reshape(4, 3), omega, transition)

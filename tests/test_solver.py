@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from twoscale.numerics import SeededRng
-from twoscale.solver import (ConfigurationError, NonFiniteError,
-                             ResidualProbe, SolverState, TwoTimeScaleProblem,
-                             averaging_update, custom_schedule, estimate_rate,
-                             fast_step, make_polynomial_schedule,
-                             make_sqrt_schedule, run, standard_step)
+from twoscale.solver import (ConfigurationError, ResidualProbe, SolverState,
+                             TwoTimeScaleProblem, custom_schedule,
+                             estimate_rate, make_polynomial_schedule,
+                             make_sqrt_schedule, run)
 from twoscale.synthetic import make_quadratic
 
 
@@ -26,24 +25,48 @@ class CountingProblem(TwoTimeScaleProblem):
         self.exact = inner.exact
         self.calls = 0
 
-    def sample(self, theta, omega, rng):
+    def sample(self, theta, omega, env, rng):
         self.calls += 1
-        return self.inner.sample(theta, omega, rng)
+        return self.inner.sample(theta, omega, env, rng)
 
 
-# --- averaging_update --------------------------------------------------------
+class ConstantProblem(TwoTimeScaleProblem):
+    """Oracle drawing nothing and returning the same (F, G) every time."""
+
+    exact = None
+
+    def __init__(self, F, G):
+        self.F, self.G = np.asarray(F, float), np.asarray(G, float)
+        self.dim_theta, self.dim_omega = self.F.size, self.G.size
+
+    def sample(self, theta, omega, env, rng):
+        return self.F, self.G, None
+
+
+def one_fast_step(problem, lam, f, g):
+    """Final state of one `run` step with weight lam and zero steps."""
+    sched = custom_schedule(lambda k: lam, lambda k: 0.0, lambda k: 0.0)
+    state = SolverState(0, np.zeros(problem.dim_theta),
+                        np.zeros(problem.dim_omega), f, g)
+    return run(problem, "fast", sched, 1, seed=0, init_state=state).final_state
+
+
+# --- the averaging update inside run -------------------------------------------
 
 def test_averaging_full_replacement():
     v = np.array([2.0, -7.0, 0.25])
     s = np.array([1.0, 1.0, 1.0])
-    assert np.array_equal(averaging_update(v, 1.0, s), s)
+    out = one_fast_step(ConstantProblem(s, s), 1.0, v, v)
+    assert np.array_equal(out.f, s)
+    assert np.array_equal(out.g, s)
 
 
 def test_averaging_rejects_zero_weight():
+    problem = ConstantProblem(np.ones(2), np.ones(2))
     with pytest.raises(ConfigurationError):
-        averaging_update(np.zeros(2), 0.0, np.ones(2))
+        one_fast_step(problem, 0.0, np.zeros(2), np.zeros(2))
     with pytest.raises(ConfigurationError):
-        averaging_update(np.zeros(2), 1.5, np.ones(2))
+        one_fast_step(problem, 1.5, np.zeros(2), np.zeros(2))
 
 
 def test_averaging_hand_example():
@@ -52,24 +75,27 @@ def test_averaging_hand_example():
     s = np.array([3.0, -1.0])
     lam = 0.25
     expected = np.array([(1 - lam) * v[i] + lam * s[i] for i in range(2)])
-    got = averaging_update(v, lam, s)
+    got = one_fast_step(ConstantProblem(s, s), lam, v, v).f
     assert np.array_equal(got, expected)
     assert np.allclose(got, [1.5, 0.5])
 
 
 def test_averaging_dim_mismatch():
+    # a sample whose shape differs from the running average's
     with pytest.raises(ValueError):
-        averaging_update(np.zeros(2), 0.5, np.zeros(3))
+        one_fast_step(ConstantProblem(np.zeros(3), np.zeros(3)), 0.5,
+                      np.zeros(2), np.zeros(3))
 
 
 # --- schedules ----------------------------------------------------------------
 
 def test_polynomial_schedule_values():
-    s = make_polynomial_schedule(0.8, 5e-4, 2e-3, 9.0)
-    assert s.lam(0) == pytest.approx(0.08, abs=1e-15)
-    assert s.lam(40) == pytest.approx(0.016, abs=1e-15)
-    s2 = make_polynomial_schedule(1.0, 1.0, 1.0, 1.0)
-    assert s2.alpha(0) == 0.5
+    lam, alp, bet = make_polynomial_schedule(0.8, 5e-4, 2e-3, 9.0).tabulate(41)
+    assert lam[0] == pytest.approx(0.08, abs=1e-15)
+    assert lam[40] == pytest.approx(0.016, abs=1e-15)
+    assert bet[0] == pytest.approx(2e-4, abs=1e-18)
+    _, alp2, _ = make_polynomial_schedule(1.0, 1.0, 1.0, 1.0).tabulate(1)
+    assert alp2[0] == 0.5
 
 
 def test_polynomial_schedule_product_identity():
@@ -88,10 +114,11 @@ def test_polynomial_schedule_validation():
 
 
 def test_sqrt_schedule_values():
-    s = make_sqrt_schedule(0.01, 0.02)
-    assert s.lam(0) == 0.25
-    assert s.lam(3) == 0.125
-    assert s.alpha(99) == pytest.approx(0.001, abs=1e-18)
+    lam, alp, bet = make_sqrt_schedule(0.01, 0.02).tabulate(100)
+    assert lam[0] == 0.25
+    assert lam[3] == 0.125
+    assert alp[99] == pytest.approx(0.001, abs=1e-18)
+    assert bet[99] == pytest.approx(0.002, abs=1e-18)
 
 
 def test_sqrt_schedule_ordering_enforced():
@@ -108,13 +135,13 @@ def test_custom_tabulate_matches_pointwise():
     assert np.all(bet == 2e-3)
 
 
-# --- single steps --------------------------------------------------------------
+# --- single steps of run --------------------------------------------------------
 
 def test_fast_step_zero_estimates_keep_decision_variables():
     problem = quad()
     s0 = SolverState.zeros(problem, theta0=np.ones(5), omega0=np.ones(5))
-    s1 = fast_step(s0, problem, make_polynomial_schedule(1.0, 1.0, 1.0, 3.0),
-                   SeededRng(0))
+    s1 = run(problem, "fast", make_polynomial_schedule(1.0, 1.0, 1.0, 3.0),
+             1, seed=0, init_state=s0).final_state
     assert np.array_equal(s1.theta, s0.theta)
     assert np.array_equal(s1.omega, s0.omega)
     assert s1.k == 1
@@ -124,11 +151,11 @@ def test_fast_step_lambda_one_equals_raw_sample():
     problem = quad()
     sched = custom_schedule(lambda k: 1.0, lambda k: 0.01, lambda k: 0.01)
     state = SolverState.zeros(problem)
-    rng = SeededRng(4)
     rng_copy = SeededRng(4)
-    for _ in range(5):
-        F_s, G_s = problem.sample(state.theta, state.omega, rng_copy)
-        state = fast_step(state, problem, sched, rng)
+    for n in range(1, 6):
+        # the n-th sample is drawn at the state after n - 1 steps
+        F_s, G_s, _ = problem.sample(state.theta, state.omega, None, rng_copy)
+        state = run(problem, "fast", sched, n, seed=4).final_state
         assert np.array_equal(state.f, F_s)
         assert np.array_equal(state.g, G_s)
 
@@ -140,10 +167,10 @@ def test_fast_step_matches_straight_line_reimplementation():
     rng = SeededRng(7)
     state = SolverState(0, np.arange(5.0), -np.arange(5.0), np.full(5, 0.3),
                         np.full(5, -0.2))
-    nxt = fast_step(state, problem, sched, SeededRng(7))
+    nxt = run(problem, "fast", sched, 1, seed=7, init_state=state).final_state
 
     lam, alpha, beta = 2.0 / 8.0, 0.5 / 8.0, 1.0 / 8.0
-    F_s, G_s = problem.sample(state.theta, state.omega, rng)
+    F_s, G_s, _ = problem.sample(state.theta, state.omega, None, rng)
     theta = state.theta - alpha * state.f
     omega = state.omega - beta * state.g
     f = (1.0 - lam) * state.f + lam * F_s
@@ -159,8 +186,8 @@ def test_standard_step_fixed_point():
     theta = problem.theta_bar.copy()
     omega = problem.omega_star(theta)
     s0 = SolverState(0, theta, omega, np.zeros(5), np.zeros(5))
-    s1 = standard_step(s0, problem, make_polynomial_schedule(1, 1, 1, 3),
-                       SeededRng(0))
+    s1 = run(problem, "standard", make_polynomial_schedule(1, 1, 1, 3), 1,
+             seed=0, init_state=s0).final_state
     assert np.allclose(s1.theta, theta)
     assert np.allclose(s1.omega, omega)
 
@@ -169,7 +196,7 @@ def test_standard_step_zero_steps():
     problem = quad()
     sched = custom_schedule(lambda k: 1.0, lambda k: 0.0, lambda k: 0.0)
     s0 = SolverState.zeros(problem, theta0=np.ones(5))
-    s1 = standard_step(s0, problem, sched, SeededRng(1))
+    s1 = run(problem, "standard", sched, 1, seed=1, init_state=s0).final_state
     assert np.array_equal(s1.theta, s0.theta)
     assert np.array_equal(s1.omega, s0.omega)
 
@@ -178,20 +205,23 @@ def test_standard_step_matches_reimplementation():
     problem = quad(seed=7)
     sched = make_polynomial_schedule(2.0, 0.5, 1.0, 7.0)
     s0 = SolverState(0, np.ones(5), np.zeros(5), np.zeros(5), np.zeros(5))
-    s1 = standard_step(s0, problem, sched, SeededRng(7))
-    F_s, G_s = problem.sample(s0.theta, s0.omega, SeededRng(7))
+    s1 = run(problem, "standard", sched, 1, seed=7, init_state=s0).final_state
+    F_s, G_s, _ = problem.sample(s0.theta, s0.omega, None, SeededRng(7))
     assert np.array_equal(s1.theta, s0.theta - (0.5 / 8.0) * F_s)
     assert np.array_equal(s1.omega, s0.omega - (1.0 / 8.0) * G_s)
+    # the (f, g) slots are left untouched
+    assert np.array_equal(s1.f, s0.f) and np.array_equal(s1.g, s0.g)
 
 
 def test_fast_step_rejects_nonfinite_state():
     problem = quad()
-    bad = SolverState(3, np.full(5, np.inf), np.zeros(5), np.zeros(5),
+    bad = SolverState(0, np.full(5, np.inf), np.zeros(5), np.zeros(5),
                       np.zeros(5))
-    with pytest.raises(NonFiniteError) as err:
-        fast_step(bad, problem, make_polynomial_schedule(1, 1, 1, 3),
-                  SeededRng(0))
-    assert err.value.iteration == 3
+    trace = run(problem, "fast", make_polynomial_schedule(1, 1, 1, 3), 10,
+                seed=0, init_state=bad)
+    assert trace.flagged
+    assert trace.abort_k == 0
+    assert trace.final_state is None
 
 
 # --- run -----------------------------------------------------------------------
@@ -232,14 +262,19 @@ def test_run_matches_repeated_fast_steps():
     problem = quad()
     sched = make_polynomial_schedule(40.0, 16.0, 16.0, 160.0)
     trace = run(problem, "fast", sched, 7, seed=(9,), probe=None)
-    state = SolverState.zeros(problem)
     rng = SeededRng((9,))
-    for _ in range(7):
-        state = fast_step(state, problem, sched, rng)
-    assert np.array_equal(trace.final_state.theta, state.theta)
-    assert np.array_equal(trace.final_state.omega, state.omega)
-    assert np.array_equal(trace.final_state.f, state.f)
-    assert np.array_equal(trace.final_state.g, state.g)
+    theta, omega, f, g = np.zeros(5), np.zeros(5), np.zeros(5), np.zeros(5)
+    for k in range(7):
+        lam, alpha, beta = 40.0 / (k + 161.0), 16.0 / (k + 161.0), \
+            16.0 / (k + 161.0)
+        F_s, G_s, _ = problem.sample(theta, omega, None, rng)
+        theta, omega = theta - alpha * f, omega - beta * g
+        f = (1.0 - lam) * f + lam * F_s
+        g = (1.0 - lam) * g + lam * G_s
+    assert np.array_equal(trace.final_state.theta, theta)
+    assert np.array_equal(trace.final_state.omega, omega)
+    assert np.array_equal(trace.final_state.f, f)
+    assert np.array_equal(trace.final_state.g, g)
 
 
 def test_run_lambda_one_tracks_samples():
@@ -251,7 +286,7 @@ def test_run_lambda_one_tracks_samples():
     state = SolverState.zeros(problem)
     last = None
     for k in range(50):
-        F_s, G_s = problem.sample(state.theta, state.omega, rng)
+        F_s, G_s, _ = problem.sample(state.theta, state.omega, None, rng)
         state = SolverState(k + 1, state.theta - 1e-3 * state.f,
                             state.omega - 1e-3 * state.g, F_s, G_s)
         last = (F_s, G_s)
@@ -275,11 +310,11 @@ class ExplodingProblem(TwoTimeScaleProblem):
         self.calls = 0
         self.exact = None
 
-    def sample(self, theta, omega, rng):
+    def sample(self, theta, omega, env, rng):
         self.calls += 1
         if self.calls > self.blow_at:
-            return np.full(2, np.inf), np.zeros(2)
-        return np.zeros(2), np.zeros(2)
+            return np.full(2, np.inf), np.zeros(2), None
+        return np.zeros(2), np.zeros(2), None
 
 
 def test_run_flags_nonfinite_sample():
@@ -341,8 +376,8 @@ def test_probe_monte_carlo_fallback():
             from twoscale.solver import ExactAccessors
             self.exact = ExactAccessors(omega_star=inner.omega_star)
 
-        def sample(self, theta, omega, rng):
-            return inner.sample(theta, omega, rng)
+        def sample(self, theta, omega, env, rng):
+            return inner.sample(theta, omega, env, rng)
 
     problem = NoMean()
     probe = ResidualProbe(problem, mc_samples=4000, rng=SeededRng((5, 5)))
@@ -352,6 +387,62 @@ def test_probe_monte_carlo_fallback():
     vals = probe.compute(theta, omega, f=f, g=inner.mean_g(theta, omega))
     # mc mean of sampled F around its true mean: O(sigma/sqrt(n)) error
     assert vals["delta_f_sq"] < (5 * 0.2 / math.sqrt(4000)) ** 2 * 25
+
+
+def test_record_tests_each_metric_value_for_finiteness():
+    # two finite values whose sum overflows must not flag the run
+    problem = ConstantProblem(np.zeros(2), np.zeros(2))
+    probe = ResidualProbe(problem, extra_names=("a", "b"),
+                          extra=lambda th, om: (1e308, 1e308))
+    sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
+    trace = run(problem, "fast", sched, 10, seed=0, probe=probe, stride=5)
+    assert not trace.flagged
+    assert list(trace.ks) == [0, 5, 10]
+    assert np.all(trace.metrics["a"] == 1e308)
+    # one non-finite value among finite ones does flag it, at k = 0
+    probe = ResidualProbe(problem, extra_names=("a", "b"),
+                          extra=lambda th, om: (1.0, np.nan))
+    trace = run(problem, "fast", sched, 10, seed=0, probe=probe, stride=5)
+    assert trace.flagged and trace.abort_k == 0 and trace.ks.size == 0
+
+
+def test_residual_columns_only_when_the_probe_can_compute_them():
+    problem = ConstantProblem(np.zeros(2), np.zeros(2))
+    probe = ResidualProbe(problem, extra_names=("m",),
+                          extra=lambda th, om: (1.0,))
+    assert probe.metric_names() == ["m"]
+    assert probe.compute(np.zeros(2), np.zeros(2), f=np.zeros(2),
+                         g=np.zeros(2)) == {"m": 1.0}
+    with_rng = ResidualProbe(problem, rng=SeededRng(1))
+    assert with_rng.metric_names() == ["delta_f_sq", "delta_g_sq"]
+    assert "delta_f_sq" in ResidualProbe(quad()).metric_names()
+
+
+class CountingChain(TwoTimeScaleProblem):
+    """Markov oracle whose env counts the samples drawn so far."""
+
+    dim_theta = 1
+    dim_omega = 1
+    exact = None
+
+    def __init__(self):
+        self.first = None
+
+    def init_env(self, rng):
+        self.first = float(rng.uniform())
+        return 0
+
+    def sample(self, theta, omega, env, rng):
+        return np.array([float(env)]), np.zeros(1), env + 1
+
+
+def test_run_draws_first_env_from_replica_stream_and_threads_it():
+    problem = CountingChain()
+    sched = custom_schedule(lambda k: 1.0, lambda k: 1.0, lambda k: 1.0)
+    trace = run(problem, "standard", sched, 4, seed=(3, 1))
+    assert problem.first == float(SeededRng((3, 1)).uniform())
+    # theta moves by -(0 + 1 + 2 + 3): the env advanced once per sample
+    assert trace.final_state.theta[0] == -6.0
 
 
 # --- estimate_rate ---------------------------------------------------------------

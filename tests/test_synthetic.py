@@ -42,7 +42,7 @@ def test_sample_at_joint_root_is_zero():
     problem, _ = make_quadratic(5, 5, seed=3, sigma_noise=0.0)
     theta = problem.theta_bar
     omega = problem.omega_star(theta)
-    F, G = problem.sample(theta, omega, SeededRng(0))
+    F, G, _ = problem.sample(theta, omega, None, SeededRng(0))
     assert np.abs(F).max() == 0.0
     assert np.abs(G).max() == 0.0
 
@@ -52,7 +52,8 @@ def test_sample_at_auxiliary_root_is_gradient():
     rng = SeededRng(5)
     for _ in range(10):
         theta = rng.normal(5)
-        F, _ = problem.sample(theta, problem.omega_star(theta), SeededRng(0))
+        F, _, _ = problem.sample(theta, problem.omega_star(theta), None,
+                                 SeededRng(0))
         assert np.allclose(F, problem.grad_h(theta), atol=1e-12)
 
 
@@ -65,7 +66,7 @@ def test_sample_mean_monte_carlo():
     F_acc = np.zeros(4)
     G_acc = np.zeros(3)
     for _ in range(n):
-        F, G = problem.sample(theta, omega, rng)
+        F, G, _ = problem.sample(theta, omega, None, rng)
         F_acc += F
         G_acc += G
     band = 3.0 * 0.1 / np.sqrt(n)
@@ -148,7 +149,7 @@ def test_sample_mean_converges_at_sqrt_rate():
         acc = np.zeros(4)
         stream = SeededRng((17, n))
         for _ in range(n):
-            F, _ = problem.sample(theta, omega, stream)
+            F, _, _ = problem.sample(theta, omega, None, stream)
             acc += F
         errs.append(np.linalg.norm(acc / n - grad))
     # each tenfold sample increase should shrink the error ~ sqrt(10)

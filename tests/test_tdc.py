@@ -5,8 +5,8 @@ from twoscale.numerics import SeededRng, SingularMatrixError, linear_solve
 from twoscale.tdc import (LinearFeatures, TabularMdp, TdcInstance, TdcProblem,
                           bellman_reward, dump_instance, exact_mspbe,
                           exact_omega_star, generate_instance, load_instance,
-                          run_td0, sample_transition, sample_transitions,
-                          td0_sample, tdc_sample)
+                          Td0Problem, run_td0, sample_transition,
+                          sample_transitions, td0_sample, tdc_sample)
 from twoscale.harness import parse_schedule_spec
 
 
@@ -311,6 +311,34 @@ def test_problem_adapter_dimensions_and_metrics():
     inst = generate_instance(6, 4, 3, 0.5, seed=37)
     problem = TdcProblem(inst)
     assert problem.dim_theta == problem.dim_omega == 3
-    F, G = problem.sample(np.zeros(3), np.zeros(3), SeededRng(1))
-    assert F.shape == (3,) and G.shape == (3,)
+    F, G, env = problem.sample(np.zeros(3), np.zeros(3), None, SeededRng(1))
+    assert F.shape == (3,) and G.shape == (3,) and env is None
     assert problem.exact.h(inst.theta_star) <= 1e-10
+
+
+def test_td0_problem_runs_the_td0_update_under_standard():
+    inst = generate_instance(10, 5, 3, 0.5, seed=38)
+    sched = parse_schedule_spec("appendixD")
+    problem = Td0Problem(inst)
+    assert problem.dim_omega == 0
+    n_iters, stride = 300, 100
+    tr = run_td0(inst, sched, n_iters, seed=(38, 0), stride=stride)
+    # straight-line TD(0): theta -= alpha_k * td0_sample, one transition
+    # per step, z and both projected Bellman errors at every stride
+    rng = SeededRng((38, 0))
+    theta = np.zeros(3)
+    z, x, x_pi = [], [], []
+    for k in range(n_iters + 1):
+        if k % stride == 0:
+            d = theta - inst.theta_star
+            z.append(float(d @ d))
+            x.append(exact_mspbe(inst, theta))
+            x_pi.append(exact_mspbe(inst, theta, weighting="target"))
+        if k < n_iters:
+            theta = theta - 5e-4 * td0_sample(inst, theta,
+                                              sample_transition(inst, rng))
+    assert list(tr.metrics) == ["z", "x", "mspbe_pi"]
+    assert np.array_equal(tr.ks, np.arange(0, n_iters + 1, stride))
+    assert np.array_equal(tr.metrics["z"], z)
+    assert np.array_equal(tr.metrics["x"], x)
+    assert np.array_equal(tr.metrics["mspbe_pi"], x_pi)
