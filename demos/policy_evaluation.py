@@ -27,12 +27,9 @@ iters, runs, stride = 20000, 5, 2000
 
 curves = {}
 for algo in ("fast", "standard"):
-    zs = []
-    for i in range(runs):
-        tr = run(problem, algo, schedule, iters, seed=(7, 1, i), probe=probe,
-                 stride=stride)
-        zs.append(tr.metrics["z"])
-    curves[algo] = np.mean(zs, axis=0)
+    traces = run(problem, algo, schedule, iters, seed=(7, 1, 0),
+                 probe=probe, stride=stride, runs=runs)
+    curves[algo] = np.mean([t.metrics["z"] for t in traces], axis=0)
 zs = []
 for i in range(runs):
     tr = run_td0(instance, schedule, iters, seed=(7, 2, i), stride=stride)

@@ -22,12 +22,10 @@ iters, runs, stride = 20000, 5, 1000
 
 for algo in ("fast", "standard"):
     schedule = default_schedule("regmdp", algo)
-    xs = []
-    for i in range(runs):
-        tr = run(problem, algo, schedule, iters, seed=(0, 1, i), probe=probe,
-                 stride=stride)
-        xs.append(tr.metrics["x"])
-    gap = np.mean(xs, axis=0)
+    traces = run(problem, algo, schedule, iters, seed=(0, 1, 0),
+                 probe=probe, stride=stride, runs=runs)
+    tr = traces[0]
+    gap = np.mean([t.metrics["x"] for t in traces], axis=0)
     print(f"\n{algo}: mean optimality gap J* - J(theta_k)")
     for idx in range(0, tr.ks.size, 4):
         print(f"  k={tr.ks[idx]:>6d}  gap={gap[idx]:.5f}")

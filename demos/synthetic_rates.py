@@ -27,12 +27,10 @@ std_schedule = custom_schedule(   # best-known baseline order: 2/3 decay
 )
 
 for algo, schedule in (("fast", fast_schedule), ("standard", std_schedule)):
-    curves = []
-    for i in range(runs):
-        trace = run(problem, algo, schedule, iters, seed=(1, 1, i),
-                    probe=probe, stride=stride)
-        curves.append(trace.metrics["z"])
-    z = np.mean(curves, axis=0)
+    traces = run(problem, algo, schedule, iters, seed=(1, 1, 0),
+                 probe=probe, stride=stride, runs=runs)
+    trace = traces[0]
+    z = np.mean([t.metrics["z"] for t in traces], axis=0)
     fit = estimate_rate(trace.ks, z, window=0.85)
     print(f"\n{algo}: mean squared distance to the minimizer")
     for idx in (0, 5, 10, 25, 50):

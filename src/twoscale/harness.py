@@ -404,10 +404,10 @@ EXPERIMENTS = tuple(_BUILDERS)
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all replicas of the configured experiment and aggregate.
 
-    Replica i draws from the stream (seed, 1, i); problems are built
-    from the seed itself, so two arms run with the same seed see the
-    same instance. TD(0) is the `standard` update of a problem without
-    an auxiliary variable.
+    The replicas run as one batch of `run`, replica i on the stream
+    (seed, 1, i); problems are built from the seed itself, so two arms
+    run with the same seed see the same instance. TD(0) is the
+    `standard` update of a problem without an auxiliary variable.
     """
     schedule = (parse_schedule_spec(config.schedule)
                 if config.schedule is not None
@@ -415,10 +415,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     build = _BUILDERS[config.experiment][1]
     problem, probe, init, header_extra = build(config)
     algo = "standard" if config.algo == "td0" else config.algo
-    traces = [run(problem, algo, schedule, config.iters,
-                  seed=(config.seed, 1, i), probe=probe,
-                  stride=config.stride, init_state=init)
-              for i in range(config.runs)]
+    traces = run(problem, algo, schedule, config.iters,
+                 seed=(config.seed, 1, 0), probe=probe,
+                 stride=config.stride, init_state=init, runs=config.runs)
     series = aggregate(traces)
     rate = _fit_rate(config, series)
     return ExperimentResult(config=config, series=series, schedule=schedule,

@@ -42,7 +42,6 @@ from .solver import (ResidualProbe, SolverState, StepSchedule, Trace,
                      TwoTimeScaleProblem, run)
 
 __all__ = [
-    "Controller",
     "LqrProblem",
     "LqrSystem",
     "UnstableSystemError",
@@ -52,7 +51,6 @@ __all__ = [
     "gap_probe",
     "goperator_residual",
     "lyapunov_solve",
-    "make_controller",
     "natural_gradient_exact",
     "omega_exact",
     "paper_lqr_3x2",
@@ -60,7 +58,6 @@ __all__ = [
     "run_lqr",
     "sigma_K",
     "svec",
-    "SYSTEM_PRESETS",
 ]
 
 
@@ -147,22 +144,6 @@ def paper_lqr_3x2(psi_scale: float = 0.01, sigma: float = 0.1) -> LqrSystem:
                   [0.0, 0.1]])
     return LqrSystem(A=A, B=B, Q=np.eye(3), R=np.eye(2),
                      Psi=psi_scale * np.eye(3), sigma=sigma)
-
-
-SYSTEM_PRESETS = {"paper-lqr-3x2": paper_lqr_3x2}
-
-
-@dataclass
-class Controller:
-    """A feedback gain with its stability flag for the given system."""
-
-    K: np.ndarray
-    stabilizing: bool
-
-
-def make_controller(system: LqrSystem, K) -> Controller:
-    K = np.asarray(K, float)
-    return Controller(K=K, stabilizing=stability_test(system.A - system.B @ K))
 
 
 # --- symmetric vectorization -------------------------------------------------

@@ -56,7 +56,7 @@ class ExactAccessors:
     """Optional ground-truth handles a problem may expose for metrics.
 
     mean_f / mean_g are the deterministic expectations of the sampled
-    operators; when absent, probes fall back to Monte Carlo estimates.
+    operators; without both, probes record no tracking residuals.
     Without grad_h, probes take grad h(theta) = mean_f(theta,
     omega_star(theta)), reusing the omega_star that `y` evaluates.
     """
@@ -79,6 +79,13 @@ class TwoTimeScaleProblem:
     returned operator values. `env` is the Markov state an oracle
     carries from one sample to the next; `init_env(rng)` draws the
     first one. I.i.d. oracles ignore it and return None.
+
+    `run` advances a batch of replicas together and asks for their
+    samples through `draw` and `apply`. By default `draw` returns None
+    and `apply` calls `sample` row by row. An oracle may instead split
+    a sample into a per-replica `draw`, which takes the randomness of
+    several samples in one block, and an `apply` vectorized across
+    replicas; the rows must be bitwise those of `sample`.
     """
 
     dim_theta: int
@@ -91,6 +98,24 @@ class TwoTimeScaleProblem:
     def sample(self, theta: np.ndarray, omega: np.ndarray, env,
                rng: SeededRng):
         raise NotImplementedError
+
+    def draw(self, rng: SeededRng, count: int):
+        """The randomness of one replica's next `count` samples, one row
+        per sample, taken from `rng` in the order `count` calls of
+        `sample` would take it; None when `apply` draws for itself."""
+        return None
+
+    def apply(self, theta: np.ndarray, omega: np.ndarray, envs: list,
+              noise: Optional[np.ndarray], rngs: list):
+        """Samples (F, G) of a batch: row i at (theta[i], omega[i],
+        envs[i]), from noise[i] (a row of the replica's `draw` block) or,
+        when `draw` gives None, from rngs[i]. Replaces envs[i] with the
+        replica's next env."""
+        F = np.empty((len(rngs), self.dim_theta))
+        G = np.empty((len(rngs), self.dim_omega))
+        for i, rng in enumerate(rngs):
+            F[i], G[i], envs[i] = self.sample(theta[i], omega[i], envs[i], rng)
+        return F, G
 
 
 @dataclass
@@ -120,13 +145,15 @@ class StepSchedule:
     `kind` is one of "polynomial", "sqrt", "custom"; `params` echoes
     the defining constants into experiment headers. `tau` is the decay
     offset when the schedule has one (checker uses it to recover the
-    schedule constants from iterate values).
+    schedule constants from iterate values). Polynomial and sqrt
+    schedules are tabulated from `params` in closed form; a custom one
+    calls its three functions once per k.
     """
 
     kind: str
-    lam_fn: Callable[[int], float]
-    alpha_fn: Callable[[int], float]
-    beta_fn: Callable[[int], float]
+    lam_fn: Optional[Callable[[int], float]] = None
+    alpha_fn: Optional[Callable[[int], float]] = None
+    beta_fn: Optional[Callable[[int], float]] = None
     params: dict = field(default_factory=dict)
     tau: Optional[float] = None
 
@@ -161,14 +188,7 @@ def make_polynomial_schedule(c_lambda: float, c_alpha: float, c_beta: float,
         raise ConfigurationError(f"tau must be >= 1, got {tau!r}")
     params = {"c_lambda": float(c_lambda), "c_alpha": float(c_alpha),
               "c_beta": float(c_beta), "tau": float(tau)}
-    return StepSchedule(
-        kind="polynomial",
-        lam_fn=lambda k: c_lambda / (k + tau + 1.0),
-        alpha_fn=lambda k: c_alpha / (k + tau + 1.0),
-        beta_fn=lambda k: c_beta / (k + tau + 1.0),
-        params=params,
-        tau=float(tau),
-    )
+    return StepSchedule(kind="polynomial", params=params, tau=float(tau))
 
 
 def make_sqrt_schedule(alpha0: float, beta0: float) -> StepSchedule:
@@ -177,13 +197,7 @@ def make_sqrt_schedule(alpha0: float, beta0: float) -> StepSchedule:
         raise ConfigurationError(
             f"need 0 < alpha0 <= beta0, got alpha0={alpha0!r} beta0={beta0!r}")
     params = {"alpha0": float(alpha0), "beta0": float(beta0)}
-    return StepSchedule(
-        kind="sqrt",
-        lam_fn=lambda k: 0.25 / math.sqrt(k + 1.0),
-        alpha_fn=lambda k: alpha0 / math.sqrt(k + 1.0),
-        beta_fn=lambda k: beta0 / math.sqrt(k + 1.0),
-        params=params,
-    )
+    return StepSchedule(kind="sqrt", params=params)
 
 
 def custom_schedule(lam_fn, alpha_fn, beta_fn, params=None, tau=None) -> StepSchedule:
@@ -213,28 +227,23 @@ class ResidualProbe:
     y = ||omega - omega*(theta)||^2, z = ||theta - theta*||^2,
     x = h(theta) - h*, V = ||delta_f||^2 + ||delta_g||^2 + (z or x) + y.
 
-    Mean operators come from the problem's deterministic mean oracle
-    when available; otherwise from `mc_samples` Monte Carlo draws of an
-    i.i.d. oracle on the probe's own stream (never the run's). Without
-    either, the residuals (and V) are not recorded.
+    Mean operators come from the problem's deterministic mean oracle;
+    without one, the residuals (and V) are not recorded.
 
     `extra(theta, omega)` returns one value per name in `extra_names`,
     from one evaluation; they are recorded after the residual metrics.
     """
 
-    def __init__(self, problem: TwoTimeScaleProblem, mc_samples: int = 10000,
-                 rng: Optional[SeededRng] = None, extra_names=(), extra=None):
+    def __init__(self, problem: TwoTimeScaleProblem, extra_names=(),
+                 extra=None):
         self.problem = problem
-        self.mc_samples = int(mc_samples)
-        self.rng = rng
         self.extra_names = tuple(extra_names)
         self.extra = extra
         ex = problem.exact
         if ex is None:
             ex = ExactAccessors()
         self._ex = ex
-        self._has_mean = ex.mean_f is not None and ex.mean_g is not None
-        self._has_residuals = self._has_mean or rng is not None
+        self._has_residuals = ex.mean_f is not None and ex.mean_g is not None
         self._has_grad = ex.grad_h is not None or (
             ex.omega_star is not None and ex.mean_f is not None)
 
@@ -255,17 +264,6 @@ class ResidualProbe:
                 names.append("V")
         return names + list(self.extra_names)
 
-    def _mean_ops(self, theta, omega):
-        if self._has_mean:
-            return self._ex.mean_f(theta, omega), self._ex.mean_g(theta, omega)
-        F_acc = np.zeros(self.problem.dim_theta)
-        G_acc = np.zeros(self.problem.dim_omega)
-        for _ in range(self.mc_samples):
-            F_s, G_s, _ = self.problem.sample(theta, omega, None, self.rng)
-            F_acc += F_s
-            G_acc += G_s
-        return F_acc / self.mc_samples, G_acc / self.mc_samples
-
     def compute(self, theta, omega, f=None, g=None) -> dict:
         ex = self._ex
         out = {}
@@ -283,9 +281,8 @@ class ResidualProbe:
                     else ex.mean_f(theta, omega_star))
             out["grad_norm_sq"] = float(grad @ grad)
         if f is not None and g is not None and self._has_residuals:
-            F_bar, G_bar = self._mean_ops(theta, omega)
-            df = f - F_bar
-            dg = g - G_bar
+            df = f - ex.mean_f(theta, omega)
+            dg = g - ex.mean_g(theta, omega)
             out["delta_f_sq"] = float(df @ df)
             out["delta_g_sq"] = float(dg @ dg)
             if "y" in out and ("z" in out or "x" in out):
@@ -297,16 +294,26 @@ class ResidualProbe:
         return out
 
 
+# Samples per block of `TwoTimeScaleProblem.draw`.
+DRAW_BLOCK = 256
+
+
 def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
         n_iters: int, seed, probe: Optional[ResidualProbe] = None,
-        stride: int = 1, init_state: Optional[SolverState] = None) -> Trace:
-    """Run one replica and record probe metrics every `stride` iterations.
+        stride: int = 1, init_state: Optional[SolverState] = None,
+        runs: Optional[int] = None):
+    """Run replicas and record probe metrics every `stride` iterations.
 
     `seed` may be an int, a tuple of ints, or a SeededRng; the oracle's
-    first `env` is drawn from that stream before anything else. The
-    trace is a pure function of (problem, algo, schedule, n_iters, seed,
-    stride, init_state). A non-finite sample or metric truncates the
-    trace at the failure point and flags it.
+    first `env` is drawn from that stream before anything else. Without
+    `runs`, one replica runs on `seed` and one Trace comes back. With
+    `runs=R`, R replicas advance together as the rows of (theta, omega,
+    f, g), replica j on the stream of `seed` with its last entry
+    advanced by j, and a list of R traces comes back. Every trace is a
+    pure function of (problem, algo, schedule, n_iters, its stream,
+    stride, init_state): batching does not change it. A non-finite
+    sample entry or metric truncates that replica's trace at the
+    failure point and flags it; the other replicas run on.
     """
     if algo not in ("fast", "standard"):
         raise ConfigurationError(f"unknown algorithm {algo!r}")
@@ -314,14 +321,19 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
         raise ConfigurationError("n_iters must be >= 1")
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
-    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
+    if runs is None:
+        rngs = [seed if isinstance(seed, SeededRng) else SeededRng(seed)]
+    elif runs < 1 or isinstance(seed, SeededRng):
+        raise ConfigurationError("runs needs runs >= 1 and an int or tuple seed")
+    else:
+        seed = tuple(np.atleast_1d(seed).tolist())
+        rngs = [SeededRng(seed[:-1] + (seed[-1] + j,)) for j in range(runs)]
+    n_runs = len(rngs)
     fast = algo == "fast"
 
     state = init_state if init_state is not None else SolverState.zeros(problem)
-    theta = state.theta.copy()
-    omega = state.omega.copy()
-    f = state.f.copy()
-    g = state.g.copy()
+    theta, omega, f, g = (np.tile(np.asarray(v, float), (n_runs, 1)) for v in
+                          (state.theta, state.omega, state.f, state.g))
 
     lam_t, alp_t, bet_t = schedule.tabulate(n_iters)
     if fast and (np.any(lam_t <= 0.0) or np.any(lam_t > 1.0)):
@@ -330,61 +342,85 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
             f"averaging weight {lam_t[bad]!r} at k={bad} outside (0, 1]")
 
     names = probe.metric_names(include_residuals=fast) if probe else []
-    ks = []
-    cols = {name: [] for name in names}
-    flagged = False
-    abort_k = None
+    ks = [[] for _ in range(n_runs)]
+    cols = [{name: [] for name in names} for _ in range(n_runs)]
+    abort_k = [None] * n_runs
+    live = list(range(n_runs))      # the replica in each row
+
+    envs = [problem.init_env(rng) for rng in rngs]
+    noise = None
+
+    def drop(keep: np.ndarray, k: int) -> bool:
+        """Flag the replicas of the rows not kept, at k, and remove those
+        rows; False when no row is left."""
+        nonlocal theta, omega, f, g, envs, rngs, noise, live
+        for i in np.flatnonzero(~keep):
+            abort_k[live[i]] = k
+        live, envs, rngs = ([x for x, ok in zip(xs, keep) if ok]
+                            for xs in (live, envs, rngs))
+        theta, omega, f, g = theta[keep], omega[keep], f[keep], g[keep]
+        if noise is not None:
+            noise = noise[:, keep]
+        return bool(live)
 
     def record(k: int) -> bool:
-        if probe is None:
-            ks.append(k)
-            return True
-        vals = probe.compute(theta, omega, f if fast else None,
-                             g if fast else None)
-        row = [vals[name] for name in names]
-        if not all(map(math.isfinite, row)):
-            return False
-        ks.append(k)
-        for name, v in zip(names, row):
-            cols[name].append(v)
-        return True
+        """Record each row, dropping those with a non-finite metric."""
+        keep = np.ones(len(live), dtype=bool)
+        for i, rep in enumerate(live):
+            if probe is not None:
+                vals = probe.compute(theta[i], omega[i], f[i] if fast else None,
+                                     g[i] if fast else None)
+                row = [vals[name] for name in names]
+                if not all(map(math.isfinite, row)):
+                    keep[i] = False
+                    continue
+                for name, v in zip(names, row):
+                    cols[rep][name].append(v)
+            ks[rep].append(k)
+        return keep.all() or drop(keep, k)
 
-    sample = problem.sample
-    env = problem.init_env(rng)
-    k = 0
     # divergence is a reported outcome, not an error: overflow inside
     # the update arithmetic must not warn, only flag
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < n_iters:
+        for k in range(n_iters):
             if k % stride == 0 and not record(k):
-                flagged, abort_k = True, k
                 break
-            F_s, G_s, env = sample(theta, omega, env, rng)
-            if not math.isfinite(F_s.sum() + G_s.sum()):
-                flagged, abort_k = True, k
-                break
+            j = k % DRAW_BLOCK
+            if j == 0:
+                # each replica's next block, clipped to the iterations left
+                count = min(DRAW_BLOCK, n_iters - k)
+                blocks = [problem.draw(rng, count) for rng in rngs]
+                noise = None if blocks[0] is None else np.stack(blocks, axis=1)
+            F_s, G_s = problem.apply(theta, omega, envs,
+                                     None if noise is None else noise[j], rngs)
+            if not (np.isfinite(F_s).all() and np.isfinite(G_s).all()):
+                keep = np.isfinite(F_s).all(axis=1) & np.isfinite(G_s).all(axis=1)
+                if not drop(keep, k):
+                    break
+                F_s, G_s = F_s[keep], G_s[keep]
             if fast:
                 l = lam_t[k]
-                theta = theta - alp_t[k] * f
-                omega = omega - bet_t[k] * g
-                f = (1.0 - l) * f + l * F_s
-                g = (1.0 - l) * g + l * G_s
+                theta -= alp_t[k] * f
+                omega -= bet_t[k] * g
+                f *= 1.0 - l
+                f += l * F_s
+                g *= 1.0 - l
+                g += l * G_s
             else:
-                theta = theta - alp_t[k] * F_s
-                omega = omega - bet_t[k] * G_s
-            k += 1
-        if not flagged and not record(n_iters):
-            flagged, abort_k = True, n_iters
+                theta -= alp_t[k] * F_s
+                omega -= bet_t[k] * G_s
+        else:
+            record(n_iters)
 
-    trace = Trace(
-        ks=np.asarray(ks, dtype=np.int64),
-        metrics={name: np.asarray(col) for name, col in cols.items()},
-        flagged=flagged,
-        abort_k=abort_k,
-    )
-    if not flagged:
-        trace.final_state = SolverState(n_iters, theta, omega, f, g)
-    return trace
+    traces = [Trace(ks=np.asarray(ks[rep], dtype=np.int64),
+                    metrics={name: np.asarray(col)
+                             for name, col in cols[rep].items()},
+                    flagged=abort_k[rep] is not None, abort_k=abort_k[rep])
+              for rep in range(n_runs)]
+    for i, rep in enumerate(live):
+        traces[rep].final_state = SolverState(
+            n_iters, theta[i].copy(), omega[i].copy(), f[i].copy(), g[i].copy())
+    return traces if runs is not None else traces[0]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,15 @@ __all__ = [
 ]
 
 
+def _rows(M, X):
+    """M @ x for each row x of X: numpy's stacked matmul makes one gemv
+    per row, bitwise equal to M @ x (X @ M.T goes through gemm, which
+    sums in another order). A vector X gives M @ X."""
+    if X.ndim == 1:
+        return M @ X
+    return np.matmul(M, X[:, :, None])[:, :, 0]
+
+
 def _spectral_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
@@ -59,15 +68,30 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
 
     def sample(self, theta, omega, env, rng: SeededRng):
         """One normal block: decision-operator noise, then auxiliary."""
-        dw = omega - (self.W @ theta + self.b)
-        F = self.grad_h(theta) + self.D @ dw
-        G = self.C @ dw
-        if self.sigma_noise > 0.0:
+        F, G = self.apply(theta[None], omega[None], [env],
+                          self.draw(rng, 1), [rng])
+        return F[0], G[0], None
+
+    def draw(self, rng: SeededRng, count: int):
+        """`count` rows of d + r normals; None without noise. One call
+        of `normal` when d + r is even: its Box-Muller pairs then never
+        straddle two samples, so the rows are those of `count` draws."""
+        n = self.dim_theta + self.dim_omega
+        if not self.sigma_noise > 0.0:
+            return None
+        if n % 2:
+            return np.stack([rng.normal(n) for _ in range(count)])
+        return rng.normal(count * n).reshape(count, n)
+
+    def apply(self, theta, omega, envs, noise, rngs):
+        dw = omega - (_rows(self.W, theta) + self.b)
+        F = self.grad_h(theta) + _rows(self.D, dw)
+        G = _rows(self.C, dw)
+        if noise is not None:
             d = self.dim_theta
-            z = rng.normal(d + self.dim_omega)
-            F = F + self.sigma_noise * z[:d]
-            G = G + self.sigma_noise * z[d:]
-        return F, G, None
+            F = F + self.sigma_noise * noise[:, :d]
+            G = G + self.sigma_noise * noise[:, d:]
+        return F, G
 
     def _shared_norms(self):
         return (
@@ -103,7 +127,7 @@ class QuadraticProblem(_CoupledGaussianProblem):
         return 0.5 * float(d @ (self.Q_h @ d))
 
     def grad_h(self, theta):
-        return self.Q_h @ (theta - self.theta_bar)
+        return _rows(self.Q_h, theta - self.theta_bar)
 
     def structural_constants(self) -> StructuralConstants:
         nQ = _spectral_norm(self.Q_h)
@@ -135,7 +159,7 @@ class PlProblem(_CoupledGaussianProblem):
         return 0.5 * float(v @ v)
 
     def grad_h(self, theta):
-        return self.H @ (theta - self.theta_bar)
+        return _rows(self.H, theta - self.theta_bar)
 
     def structural_constants(self) -> StructuralConstants:
         nH = _spectral_norm(self.H)

@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from twoscale import harness
 from twoscale.harness import (AggregateSeries, ExperimentConfig, HarnessError,
-                              UsageError, aggregate, parse_config,
-                              parse_schedule_spec, read_csv, render_csv,
-                              run_experiment, write_csv)
-from twoscale.solver import Trace
+                              UsageError, aggregate, default_schedule,
+                              parse_config, parse_schedule_spec, read_csv,
+                              render_csv, run_experiment, write_csv)
+from twoscale.solver import Trace, run
 
 
 def small_config(**overrides):
@@ -228,6 +229,39 @@ def test_csv_bytes_match_golden_digests():
         text = render_csv(run_experiment(cfg))
         got[experiment, algo] = hashlib.sha256(text.encode()).hexdigest()
     assert got == GOLDEN_CSV_SHA256
+
+
+def _same_trace(a, b):
+    assert np.array_equal(a.ks, b.ks)
+    assert a.metrics.keys() == b.metrics.keys()
+    for name in a.metrics:
+        assert np.array_equal(a.metrics[name], b.metrics[name]), name
+    assert (a.flagged, a.abort_k) == (b.flagged, b.abort_k)
+    for part in ("theta", "omega", "f", "g"):
+        assert np.array_equal(getattr(a.final_state, part),
+                              getattr(b.final_state, part))
+
+
+@pytest.mark.parametrize("experiment,algo", sorted(GOLDEN_CSV_SHA256))
+def test_replica_trace_does_not_depend_on_its_batch(experiment, algo):
+    # 300 iterations cross the first draw block's end at 256
+    cfg = ExperimentConfig(experiment=experiment, algo=algo, iters=300,
+                           runs=1, seed=5, stride=7)
+    problem, probe, init, _ = harness._BUILDERS[experiment][1](cfg)
+    schedule = default_schedule(experiment, algo)
+    solver_algo = "standard" if algo == "td0" else algo
+
+    def batch(first, runs):
+        return run(problem, solver_algo, schedule, cfg.iters,
+                   seed=(cfg.seed, 1, first), probe=probe, stride=cfg.stride,
+                   init_state=init, runs=runs)
+
+    alone = run(problem, solver_algo, schedule, cfg.iters,
+                seed=(cfg.seed, 1, 2), probe=probe, stride=cfg.stride,
+                init_state=init)
+    _same_trace(alone, batch(0, 4)[2])      # in a batch of 4, row 2
+    _same_trace(alone, batch(1, 4)[1])      # another batch, row 1
+    _same_trace(alone, batch(2, 1)[0])      # a batch of one
 
 
 # --- CLI ----------------------------------------------------------------------------

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from twoscale.numerics import SeededRng
-from twoscale.solver import (ConfigurationError, ResidualProbe, SolverState,
-                             TwoTimeScaleProblem, custom_schedule,
+from twoscale.solver import (DRAW_BLOCK, ConfigurationError, ResidualProbe,
+                             SolverState, TwoTimeScaleProblem, custom_schedule,
                              estimate_rate, make_polynomial_schedule,
                              make_sqrt_schedule, run)
 from twoscale.synthetic import make_quadratic
@@ -365,30 +363,6 @@ def test_probe_gradient_from_mean_operator_shares_omega_star():
     assert np.allclose(grad, inner.grad_h(theta), rtol=1e-12, atol=1e-12)
 
 
-def test_probe_monte_carlo_fallback():
-    inner = quad(sigma=0.2)
-
-    class NoMean(TwoTimeScaleProblem):
-        dim_theta = 5
-        dim_omega = 5
-
-        def __init__(self):
-            from twoscale.solver import ExactAccessors
-            self.exact = ExactAccessors(omega_star=inner.omega_star)
-
-        def sample(self, theta, omega, env, rng):
-            return inner.sample(theta, omega, env, rng)
-
-    problem = NoMean()
-    probe = ResidualProbe(problem, mc_samples=4000, rng=SeededRng((5, 5)))
-    theta = np.ones(5)
-    omega = np.zeros(5)
-    f = inner.mean_f(theta, omega)
-    vals = probe.compute(theta, omega, f=f, g=inner.mean_g(theta, omega))
-    # mc mean of sampled F around its true mean: O(sigma/sqrt(n)) error
-    assert vals["delta_f_sq"] < (5 * 0.2 / math.sqrt(4000)) ** 2 * 25
-
-
 def test_record_tests_each_metric_value_for_finiteness():
     # two finite values whose sum overflows must not flag the run
     problem = ConstantProblem(np.zeros(2), np.zeros(2))
@@ -413,8 +387,6 @@ def test_residual_columns_only_when_the_probe_can_compute_them():
     assert probe.metric_names() == ["m"]
     assert probe.compute(np.zeros(2), np.zeros(2), f=np.zeros(2),
                          g=np.zeros(2)) == {"m": 1.0}
-    with_rng = ResidualProbe(problem, rng=SeededRng(1))
-    assert with_rng.metric_names() == ["delta_f_sq", "delta_g_sq"]
     assert "delta_f_sq" in ResidualProbe(quad()).metric_names()
 
 
@@ -443,6 +415,142 @@ def test_run_draws_first_env_from_replica_stream_and_threads_it():
     assert problem.first == float(SeededRng((3, 1)).uniform())
     # theta moves by -(0 + 1 + 2 + 3): the env advanced once per sample
     assert trace.final_state.theta[0] == -6.0
+
+
+def test_sample_entries_are_tested_one_by_one():
+    # every entry finite, their sum past the largest double: no flag
+    problem = ConstantProblem([1e308, 1e308], [1e308, 0.0])
+    sched = make_polynomial_schedule(1.0, 1e-300, 1e-300, 3.0)
+    trace = run(problem, "fast", sched, 10, seed=0, stride=5)
+    assert not trace.flagged and list(trace.ks) == [0, 5, 10]
+    assert np.all(np.isfinite(trace.final_state.f))
+    trace = run(ConstantProblem([1.0, np.inf], [0.0, 0.0]), "fast", sched,
+                10, seed=0, stride=5)
+    assert trace.flagged and trace.abort_k == 0
+
+
+# --- batches of replicas ----------------------------------------------------------
+
+def straight_line_fast(problem, sched, n, rng):
+    """Serial fast loop drawing one normal vector per iteration."""
+    lam, alp, bet = sched.tabulate(n)
+    d = problem.dim_theta
+    theta, omega = np.zeros(d), np.zeros(problem.dim_omega)
+    f, g = np.zeros(d), np.zeros(problem.dim_omega)
+    for k in range(n):
+        z = rng.normal(d + problem.dim_omega)
+        F_s = problem.mean_f(theta, omega) + problem.sigma_noise * z[:d]
+        G_s = problem.mean_g(theta, omega) + problem.sigma_noise * z[d:]
+        theta, omega = theta - alp[k] * f, omega - bet[k] * g
+        f = (1.0 - lam[k]) * f + lam[k] * F_s
+        g = (1.0 - lam[k]) * g + lam[k] * G_s
+    return theta, omega, f, g
+
+
+@pytest.mark.parametrize("n_iters,stride", [
+    (1, 1), (DRAW_BLOCK, 1), (DRAW_BLOCK + 3, 1), (2 * DRAW_BLOCK + 1, 7)])
+@pytest.mark.parametrize("dims", [(5, 5), (3, 2)])
+def test_block_draws_match_serial_draws(n_iters, stride, dims):
+    # d + r odd (3, 2) cannot share Box-Muller pairs across samples
+    problem, _ = make_quadratic(*dims, seed=2, sigma_noise=0.3)
+    sched = make_polynomial_schedule(40.0, 16.0, 16.0, 160.0)
+    traces = run(problem, "fast", sched, n_iters, seed=(4, 1, 0),
+                 probe=ResidualProbe(problem), stride=stride, runs=3)
+    for j, trace in enumerate(traces):
+        rng = SeededRng((4, 1, j))
+        want = straight_line_fast(problem, sched, n_iters, rng)
+        got = trace.final_state
+        for a, b in zip((got.theta, got.omega, got.f, got.g), want):
+            assert np.array_equal(a, b)
+        assert trace.ks[-1] == n_iters and len(trace.ks) == \
+            -(-n_iters // stride) + 1
+
+
+class CountingRng(SeededRng):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.values = 0
+
+    def normal(self, size):
+        self.values += size
+        return super().normal(size)
+
+
+def test_draw_blocks_are_clipped_to_the_iterations_left():
+    problem = quad()
+    sched = make_polynomial_schedule(40.0, 16.0, 16.0, 160.0)
+    n_iters = DRAW_BLOCK + 3
+    rng = CountingRng(6)
+    run(problem, "fast", sched, n_iters, seed=rng)
+    assert rng.values == n_iters * 10
+    # the stream stands where n_iters serial draws leave it
+    serial = SeededRng(6)
+    for _ in range(n_iters):
+        serial.normal(10)
+    assert rng.uniform() == serial.uniform()
+
+
+class Flaky(TwoTimeScaleProblem):
+    """F = [u] for one uniform u per sample, infinite when u > 0.999."""
+
+    dim_theta = 1
+    dim_omega = 1
+    exact = None
+
+    def sample(self, theta, omega, env, rng):
+        u = float(rng.uniform())
+        return np.array([np.inf if u > 0.999 else u]), np.zeros(1), None
+
+
+class BlockFlaky(Flaky):
+    """Flaky with its uniforms drawn in blocks and applied as a batch."""
+
+    def draw(self, rng, count):
+        return rng.uniform(count).reshape(count, 1)
+
+    def apply(self, theta, omega, envs, noise, rngs):
+        return np.where(noise > 0.999, np.inf, noise), np.zeros_like(omega)
+
+
+@pytest.mark.parametrize("problem", [Flaky(), BlockFlaky()])
+def test_flagged_replica_keeps_its_alone_trace_in_a_mixed_batch(problem):
+    # theta drifts down by about 0.005 a step; the probe's metric goes
+    # non-finite below -2.8, which some replicas reach before the end
+    probe = ResidualProbe(problem, extra_names=("m",), extra=lambda th, om: (
+        np.nan if th[0] < -2.8 else th[0],))
+    sched = custom_schedule(lambda k: 0.5, lambda k: 0.01, lambda k: 0.01)
+    n_iters = 2 * DRAW_BLOCK + 50
+    batch = run(problem, "fast", sched, n_iters, seed=(1, 0), probe=probe,
+                stride=3, runs=12)
+    alone = [run(problem, "fast", sched, n_iters, seed=(1, j), probe=probe,
+                 stride=3) for j in range(12)]
+    causes = set()
+    for a, b in zip(alone, batch):
+        assert (a.flagged, a.abort_k) == (b.flagged, b.abort_k)
+        assert np.array_equal(a.ks, b.ks)
+        assert np.array_equal(a.metrics["m"], b.metrics["m"])
+        if a.flagged:
+            causes.add(a.abort_k % 3 == 0 and a.ks.size <= a.abort_k // 3)
+        else:
+            assert np.array_equal(a.final_state.theta, b.final_state.theta)
+            assert np.array_equal(a.final_state.f, b.final_state.f)
+    # some replicas flag, some at a sample and some at a record, some not
+    assert 0 < sum(t.flagged for t in batch) < 12
+    assert causes == {True, False}
+
+
+def test_runs_needs_a_count_and_a_seed_to_advance():
+    problem = quad()
+    sched = make_polynomial_schedule(40.0, 16.0, 16.0, 160.0)
+    with pytest.raises(ConfigurationError):
+        run(problem, "fast", sched, 5, seed=1, runs=0)
+    with pytest.raises(ConfigurationError):
+        run(problem, "fast", sched, 5, seed=SeededRng(1), runs=2)
+    # an int seed advances itself
+    traces = run(problem, "fast", sched, 5, seed=8, runs=2)
+    assert np.array_equal(traces[1].final_state.theta,
+                          run(problem, "fast", sched, 5,
+                              seed=9).final_state.theta)
 
 
 # --- estimate_rate ---------------------------------------------------------------
