@@ -18,8 +18,9 @@ def show(title, schedule, constants, regime="strongly_convex"):
     print(f"schedule: {schedule.describe()}")
     for r in check_conditions(schedule, constants, regime, horizon=10000):
         mark = "ok " if r.satisfied else "VIO"
+        first = "" if r.first_k is None else f", first violated at k={r.first_k}"
         print(f"  [{mark}] {r.condition_id:42s} margin {r.worst_margin:+.3e} "
-              f"at k={r.worst_k}")
+              f"at k={r.worst_k}{first}")
 
 
 constants = StructuralConstants(L=1.0, mu_G=1.0, mu_h=1.0)

@@ -94,10 +94,8 @@ def _cmd_run(ns) -> int:
           f"{series.n_flagged}/{series.n_runs} replicas flagged)")
     if result.rate is not None:
         r = result.rate
-        theory = ("n/a" if r["theory_exponent"] is None
-                  else f"{r['theory_exponent']:+.3f}")
         print(f"rate fit on {r['metric']}: slope {r['slope']:+.3f} "
-              f"(theory {theory}), r2 {r['r2']:.3f}, "
+              f"(theory {r['theory_exponent']:+.3f}), r2 {r['r2']:.3f}, "
               f"tail window {r['window']:g}")
     return 0
 
@@ -109,11 +107,12 @@ def _cmd_check_schedule(ns) -> int:
     constants = StructuralConstants(L=ns.L, mu_G=ns.mu_g, mu_h=mu_h)
     reports = check_conditions(schedule, constants, regime, ns.horizon)
     width = max(len(r.condition_id) for r in reports)
-    print(f"{'condition':{width}}  status     worst_margin   worst_k")
+    print(f"{'condition':{width}}  status     worst_margin   worst_k  first_k")
     for r in reports:
         status = "satisfied" if r.satisfied else "VIOLATED"
+        first = "-" if r.first_k is None else r.first_k
         print(f"{r.condition_id:{width}}  {status:9}  {r.worst_margin: .6e}"
-              f"  {r.worst_k}")
+              f"  {r.worst_k:7}  {first}")
     return 0
 
 

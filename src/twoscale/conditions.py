@@ -60,10 +60,13 @@ class StructuralConstants:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """A condition's tightest margin, its k, and the first violating k."""
+
     condition_id: str
     satisfied: bool
     worst_margin: float
     worst_k: int
+    first_k: Optional[int] = None
 
 
 def _reports(entries):
@@ -72,7 +75,8 @@ def _reports(entries):
         margin = np.atleast_1d(np.asarray(margin, dtype=float))
         worst = int(np.argmin(margin))
         m = float(margin[worst])
-        out.append(ConditionReport(cid, m >= 0.0, m, worst))
+        first = None if m >= 0.0 else int(np.argmax(margin < 0.0))
+        out.append(ConditionReport(cid, m >= 0.0, m, worst, first))
     return out
 
 
@@ -97,10 +101,8 @@ def check_conditions(schedule: StepSchedule, constants: StructuralConstants,
     lam, alp, bet = schedule.tabulate(horizon + 1)
 
     if schedule.kind == "polynomial":
-        p = schedule.params
-        c_lam = np.full(horizon + 1, p["c_lambda"])
-        c_alp = np.full(horizon + 1, p["c_alpha"])
-        c_bet = np.full(horizon + 1, p["c_beta"])
+        c_lam, c_alp, c_bet = (np.full(horizon + 1, schedule.params[key])
+                               for key in ("c_lambda", "c_alpha", "c_beta"))
     else:
         tau = schedule.tau if schedule.tau is not None else 1.0
         den = np.arange(horizon + 1) + tau + 1.0

@@ -49,25 +49,15 @@ __all__ = [
 
 ALGOS = ("fast", "standard", "td0")
 
-# Table of predicted tail exponents for the primary metric, per
-# (experiment regime, algorithm): the averaged solver carries the 1/k
-# (or 1/sqrt(k) in the nonconvex regime) guarantee, the baseline its
-# best-known slower order.
-THEORY_EXPONENTS = {
-    ("synthetic-sc", "fast"): -1.0,
-    ("synthetic-sc", "standard"): -2.0 / 3.0,
-    ("synthetic-pl", "fast"): -1.0,
-    ("synthetic-pl", "standard"): -2.0 / 3.0,
-    ("synthetic-nc", "fast"): -0.5,
-    ("synthetic-nc", "standard"): -0.4,
-    ("tdc", "fast"): -1.0,
-    ("tdc", "standard"): -2.0 / 3.0,
-    ("tdc", "td0"): -1.0,
-    ("lqr", "fast"): -1.0,
-    ("lqr", "standard"): -2.0 / 3.0,
-    ("regmdp", "fast"): -1.0,
-    ("regmdp", "standard"): -2.0 / 3.0,
-}
+
+def _theory_exponent(experiment: str, algo: str) -> float:
+    """Predicted tail exponent of the primary metric: the averaged solver
+    (and TD(0)) carries the 1/k guarantee, the baseline its best-known
+    k^(-2/3); in the nonconvex regime 1/sqrt(k) and k^(-2/5)."""
+    if experiment == "synthetic-nc":
+        return -0.4 if algo == "standard" else -0.5
+    return -2.0 / 3.0 if algo == "standard" else -1.0
+
 
 PRIMARY_METRIC = {
     "synthetic-sc": "z",
@@ -316,14 +306,13 @@ def _fit_rate(config: ExperimentConfig, series: AggregateSeries):
         fit = estimate_rate(series.ks, values, window)
     except ValueError:
         return None
-    theory = THEORY_EXPONENTS.get((config.experiment, config.algo))
     return {
         "metric": metric + ("_runmin" if running_min else ""),
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r2": fit.r_squared,
         "window": window,
-        "theory_exponent": theory,
+        "theory_exponent": _theory_exponent(config.experiment, config.algo),
     }
 
 
@@ -438,10 +427,9 @@ def render_csv(result: ExperimentResult) -> str:
     buf = io.StringIO()
     buf.write("# twoscale experiment output\n")
     for f in fields(config):
-        val = getattr(config, f.name)
-        if f.name == "out":
-            continue
-        buf.write(f"# config {f.name}={_format_value(val)}\n")
+        if f.name != "out":
+            val = _format_value(getattr(config, f.name))
+            buf.write(f"# config {f.name}={val}\n")
     sched = result.schedule
     params = " ".join(f"{k}={_format_value(float(v))}"
                       for k, v in sorted(sched.params.items()))

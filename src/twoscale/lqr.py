@@ -182,15 +182,21 @@ def phi_feature(x, u) -> np.ndarray:
 
 # --- exact solvers ------------------------------------------------------------
 
+# shared by every call, so never written to
+_identity = lru_cache(maxsize=None)(np.eye)
+
+
 def lyapunov_solve(M, W):
     """Solution P of P = W + M'PM for a discrete-stable M, symmetric W,
-    from the linear system (I - M' kron M') vec P = vec W."""
+    from the linear system (I - M' kron M') vec P = vec W, the Kronecker
+    product broadcast (the products of `np.kron`, without its overhead)."""
     M = np.asarray(M, float)
     if not stability_test(M):
         raise UnstableSystemError("matrix fails the stability test")
     n = M.shape[0]
-    P = np.linalg.solve(np.eye(n * n) - np.kron(M.T, M.T),
-                        np.ravel(W)).reshape(n, n)
+    Mt = M.T
+    kron = (Mt[:, None, :, None] * Mt[None, :, None, :]).reshape(n * n, n * n)
+    P = np.linalg.solve(_identity(n * n) - kron, np.ravel(W)).reshape(n, n)
     return 0.5 * (P + P.T)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "ConvergenceError",
     "SeededRng",
     "SingularMatrixError",
     "inverse_cdf",
@@ -28,6 +29,10 @@ _PIVOT_RTOL = 1e-12
 
 class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a numerically singular matrix."""
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when an iterative solver runs out of iterations."""
 
 
 class SeededRng:

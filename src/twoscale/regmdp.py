@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .numerics import SeededRng, inverse_cdf, linear_solve
+from .numerics import ConvergenceError, SeededRng, inverse_cdf, linear_solve
 from .solver import ExactAccessors, TwoTimeScaleProblem
 
 __all__ = [
@@ -113,8 +113,7 @@ def exact_value(regmdp: RegMdp, policy) -> np.ndarray:
     policy = np.asarray(policy, float)
     P_pi = _policy_kernel(regmdp, policy)
     r_tilde = _entropy_adjusted_reward(regmdp, policy)
-    S = regmdp.n_states
-    return linear_solve(np.eye(S) - regmdp.gamma * P_pi, r_tilde)
+    return linear_solve(np.eye(regmdp.n_states) - regmdp.gamma * P_pi, r_tilde)
 
 
 def exact_J(regmdp: RegMdp, theta) -> float:
@@ -127,10 +126,8 @@ def visitation_exact(regmdp: RegMdp, policy) -> np.ndarray:
     """Discounted state visitation (normalized), by linear solve."""
     policy = np.asarray(policy, float)
     P_pi = _policy_kernel(regmdp, policy)
-    S = regmdp.n_states
-    d = linear_solve(np.eye(S) - regmdp.gamma * P_pi.T,
-                     (1.0 - regmdp.gamma) * regmdp.rho0)
-    return d
+    return linear_solve(np.eye(regmdp.n_states) - regmdp.gamma * P_pi.T,
+                        (1.0 - regmdp.gamma) * regmdp.rho0)
 
 
 def _rollout(gamma, cum_rho0, cum_pi, cum_P, rng: SeededRng):
@@ -181,16 +178,18 @@ def sample_F(regmdp: RegMdp, theta, omega, transition) -> np.ndarray:
                               np.asarray(omega, float), transition)
 
 
+def _g_from_transition(regmdp, log_pi, omega, transition):
+    s, a, sp = transition
+    G = np.zeros(regmdp.n_states)
+    G[s] = (omega[s] - regmdp.r[s, a] + regmdp.tau_ent * log_pi[s, a]
+            - regmdp.gamma * omega[sp])
+    return G
+
+
 def sample_G(regmdp: RegMdp, theta, omega, transition) -> np.ndarray:
     """Negated regularized Bellman residual localized at s (times e_s)."""
-    s, a, sp = transition
-    policy = softmax_policy(theta)
-    tau = regmdp.tau_ent
-    resid = (omega[s] - regmdp.r[s, a] + tau * np.log(policy[s, a])
-             - regmdp.gamma * omega[sp])
-    G = np.zeros(regmdp.n_states)
-    G[s] = resid
-    return G
+    log_pi = np.log(softmax_policy(theta))
+    return _g_from_transition(regmdp, log_pi, omega, transition)
 
 
 def mean_F(regmdp: RegMdp, theta, omega) -> np.ndarray:
@@ -223,7 +222,8 @@ def soft_optimal(regmdp: RegMdp, tol: float = 1e-12, max_iters: int = 1000000):
 
     V(s) <- tau * log sum_a exp((r(s,a) + gamma sum P V) / tau),
     iterated to sup-norm tolerance; pi_star is the softmax of the soft
-    action values over tau.
+    action values over tau. Raises ConvergenceError after `max_iters`
+    sweeps.
     """
     tau = regmdp.tau_ent
     V = np.zeros(regmdp.n_states)
@@ -235,7 +235,8 @@ def soft_optimal(regmdp: RegMdp, tol: float = 1e-12, max_iters: int = 1000000):
             break
         V = V_next
     else:
-        raise RuntimeError("soft value iteration did not converge")
+        raise ConvergenceError(
+            f"soft value iteration did not converge in {max_iters} iterations")
     Q = regmdp.r + regmdp.gamma * np.einsum("sap,p->sa", regmdp.P, V)
     pi_star = softmax_policy(Q / tau)
     return V, pi_star, float(regmdp.rho0 @ V)
@@ -253,8 +254,7 @@ class RegMdpProblem(TwoTimeScaleProblem):
         self.dim_omega = S
         self._cum_rho0 = np.cumsum(regmdp.rho0)
         self._cum_P = np.cumsum(regmdp.P, axis=2)
-        _, _, J_star = soft_optimal(regmdp)
-        self.J_star = J_star
+        self.J_star = J_star = soft_optimal(regmdp)[2]
         self.exact = ExactAccessors(
             omega_star=lambda th: exact_value(regmdp, softmax_policy(th.reshape(S, A))),
             theta_star=None,
@@ -272,9 +272,5 @@ class RegMdpProblem(TwoTimeScaleProblem):
         transition = _rollout(regmdp.gamma, self._cum_rho0,
                               np.cumsum(policy, axis=1), self._cum_P, rng)
         F = _f_from_transition(regmdp, policy, log_pi, omega, transition)
-        s, a, sp = transition
-        resid = (omega[s] - regmdp.r[s, a]
-                 + regmdp.tau_ent * log_pi[s, a] - regmdp.gamma * omega[sp])
-        G = np.zeros(regmdp.n_states)
-        G[s] = resid
-        return F.ravel(), G, None
+        return (F.ravel(), _g_from_transition(regmdp, log_pi, omega, transition),
+                None)

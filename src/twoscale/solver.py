@@ -12,6 +12,9 @@ operator samples and moves the decision variables with those averages:
     f_{k+1} = (1 - lambda_k) f_k + lambda_k F(theta_k, omega_k, X_k)
     g_{k+1} = (1 - lambda_k) g_k + lambda_k G(theta_k, omega_k, X_k)
 
+which `run` applies as two joint updates of the stacked columns
+[theta; omega] and [f; g].
+
 The classic baseline (`standard`) applies the raw samples directly and
 is recovered structurally by lambda_k = 1 (with a one-step lag in which
 sample reaches the decision update, so it is implemented separately and
@@ -80,12 +83,12 @@ class TwoTimeScaleProblem:
     carries from one sample to the next; `init_env(rng)` draws the
     first one. I.i.d. oracles ignore it and return None.
 
-    `run` advances a batch of replicas together and asks for their
-    samples through `draw` and `apply`. By default `draw` returns None
-    and `apply` calls `sample` row by row. An oracle may instead split
-    a sample into a per-replica `draw`, which takes the randomness of
-    several samples in one block, and an `apply` vectorized across
-    replicas; the rows must be bitwise those of `sample`.
+    `run` advances a batch of replicas together, as the columns X[i] =
+    [theta; omega] of a stack X, and asks for their samples through
+    `draw` and `apply`. By default `draw` returns None and `apply` calls
+    `sample` row by row. An oracle may instead split a sample into a
+    per-replica `draw`, which takes the randomness of several samples
+    in one block, and an `apply` vectorized across replicas.
     """
 
     dim_theta: int
@@ -105,17 +108,16 @@ class TwoTimeScaleProblem:
         `sample` would take it; None when `apply` draws for itself."""
         return None
 
-    def apply(self, theta: np.ndarray, omega: np.ndarray, envs: list,
-              noise: Optional[np.ndarray], rngs: list):
-        """Samples (F, G) of a batch: row i at (theta[i], omega[i],
-        envs[i]), from noise[i] (a row of the replica's `draw` block) or,
-        when `draw` gives None, from rngs[i]. Replaces envs[i] with the
-        replica's next env."""
-        F = np.empty((len(rngs), self.dim_theta))
-        G = np.empty((len(rngs), self.dim_omega))
+    def apply(self, X: np.ndarray, envs: list, noise: Optional[np.ndarray],
+              rngs: list, S: np.ndarray):
+        """Fills S (shape of X) with the batch's samples [F; G], bitwise
+        those of `sample`: row i at X[i] and envs[i], from noise[i] (a
+        row of the replica's `draw` block) or, when `draw` gives None,
+        from rngs[i]. Replaces envs[i] with the replica's next env."""
+        d = self.dim_theta
+        theta, omega, F, G = X[:, :d, 0], X[:, d:, 0], S[:, :d, 0], S[:, d:, 0]
         for i, rng in enumerate(rngs):
             F[i], G[i], envs[i] = self.sample(theta[i], omega[i], envs[i], rng)
-        return F, G
 
 
 @dataclass
@@ -133,8 +135,6 @@ class SolverState:
         d, r = problem.dim_theta, problem.dim_omega
         theta = np.zeros(d) if theta0 is None else np.asarray(theta0, float).copy()
         omega = np.zeros(r) if omega0 is None else np.asarray(omega0, float).copy()
-        if theta.shape != (d,) or omega.shape != (r,):
-            raise ValueError("initial state dimensions do not match problem")
         return cls(0, theta, omega, np.zeros(d), np.zeros(r))
 
 
@@ -168,10 +168,8 @@ class StepSchedule:
             p = self.params
             rt = np.sqrt(ks + 1.0)
             return 0.25 / rt, p["alpha0"] / rt, p["beta0"] / rt
-        lam = np.array([float(self.lam_fn(int(k))) for k in ks])
-        alp = np.array([float(self.alpha_fn(int(k))) for k in ks])
-        bet = np.array([float(self.beta_fn(int(k))) for k in ks])
-        return lam, alp, bet
+        return tuple(np.array([float(fn(k)) for k in range(n)])
+                     for fn in (self.lam_fn, self.alpha_fn, self.beta_fn))
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
@@ -307,13 +305,13 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
     `seed` may be an int, a tuple of ints, or a SeededRng; the oracle's
     first `env` is drawn from that stream before anything else. Without
     `runs`, one replica runs on `seed` and one Trace comes back. With
-    `runs=R`, R replicas advance together as the rows of (theta, omega,
-    f, g), replica j on the stream of `seed` with its last entry
-    advanced by j, and a list of R traces comes back. Every trace is a
-    pure function of (problem, algo, schedule, n_iters, its stream,
-    stride, init_state): batching does not change it. A non-finite
-    sample entry or metric truncates that replica's trace at the
-    failure point and flags it; the other replicas run on.
+    `runs=R`, R replicas advance together as the stacked columns
+    X = [theta; omega] and Y = [f; g], replica j on the stream of `seed`
+    with its last entry advanced by j, and a list of R traces comes
+    back. Every trace is a pure function of (problem, algo, schedule,
+    n_iters, its stream, stride, init_state): batching does not change
+    it. A non-finite sample entry or metric truncates that replica's
+    trace at the failure point and flags it; the other replicas run on.
     """
     if algo not in ("fast", "standard"):
         raise ConfigurationError(f"unknown algorithm {algo!r}")
@@ -330,10 +328,16 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
         rngs = [SeededRng(seed[:-1] + (seed[-1] + j,)) for j in range(runs)]
     n_runs = len(rngs)
     fast = algo == "fast"
+    d, r = problem.dim_theta, problem.dim_omega
 
+    # X = [theta; omega], Y = [f; g], and the samples S = [F; G]
     state = init_state if init_state is not None else SolverState.zeros(problem)
-    theta, omega, f, g = (np.tile(np.asarray(v, float), (n_runs, 1)) for v in
-                          (state.theta, state.omega, state.f, state.g))
+    shapes = [np.shape(v) for v in (state.theta, state.omega, state.f, state.g)]
+    if shapes != [(d,), (r,), (d,), (r,)]:
+        raise ValueError("initial state dimensions do not match problem")
+    X, Y = (np.tile(np.concatenate(pair, dtype=float)[:, None], (n_runs, 1, 1))
+            for pair in ((state.theta, state.omega), (state.f, state.g)))
+    S = np.empty_like(X)
 
     lam_t, alp_t, bet_t = schedule.tabulate(n_iters)
     if fast and (np.any(lam_t <= 0.0) or np.any(lam_t > 1.0)):
@@ -353,12 +357,12 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
     def drop(keep: np.ndarray, k: int) -> bool:
         """Flag the replicas of the rows not kept, at k, and remove those
         rows; False when no row is left."""
-        nonlocal theta, omega, f, g, envs, rngs, noise, live
+        nonlocal X, Y, S, envs, rngs, noise, live
         for i in np.flatnonzero(~keep):
             abort_k[live[i]] = k
         live, envs, rngs = ([x for x, ok in zip(xs, keep) if ok]
                             for xs in (live, envs, rngs))
-        theta, omega, f, g = theta[keep], omega[keep], f[keep], g[keep]
+        X, Y, S = X[keep], Y[keep], S[keep]
         if noise is not None:
             noise = noise[:, keep]
         return bool(live)
@@ -368,8 +372,9 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
         keep = np.ones(len(live), dtype=bool)
         for i, rep in enumerate(live):
             if probe is not None:
-                vals = probe.compute(theta[i], omega[i], f[i] if fast else None,
-                                     g[i] if fast else None)
+                x, y = X[i, :, 0], Y[i, :, 0]
+                vals = probe.compute(x[:d], x[d:], y[:d] if fast else None,
+                                     y[d:] if fast else None)
                 row = [vals[name] for name in names]
                 if not all(map(math.isfinite, row)):
                     keep[i] = False
@@ -387,28 +392,26 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
                 break
             j = k % DRAW_BLOCK
             if j == 0:
-                # each replica's next block, clipped to the iterations left
+                # each replica's next block, clipped to the iterations
+                # left; the block's lambda_k and columns [alpha_k; beta_k]
                 count = min(DRAW_BLOCK, n_iters - k)
                 blocks = [problem.draw(rng, count) for rng in rngs]
                 noise = None if blocks[0] is None else np.stack(blocks, axis=1)
-            F_s, G_s = problem.apply(theta, omega, envs,
-                                     None if noise is None else noise[j], rngs)
-            if not (np.isfinite(F_s).all() and np.isfinite(G_s).all()):
-                keep = np.isfinite(F_s).all(axis=1) & np.isfinite(G_s).all(axis=1)
-                if not drop(keep, k):
+                lam = lam_t[k:k + count].tolist()
+                steps = np.repeat(
+                    np.stack((alp_t[k:k + count], bet_t[k:k + count]), axis=1),
+                    (d, r), axis=1)[:, None, :, None]
+            problem.apply(X, envs, None if noise is None else noise[j], rngs, S)
+            if not np.isfinite(S).all():
+                if not drop(np.isfinite(S).all(axis=(1, 2)), k):
                     break
-                F_s, G_s = F_s[keep], G_s[keep]
             if fast:
-                l = lam_t[k]
-                theta -= alp_t[k] * f
-                omega -= bet_t[k] * g
-                f *= 1.0 - l
-                f += l * F_s
-                g *= 1.0 - l
-                g += l * G_s
+                X -= steps[j] * Y
+                Y *= 1.0 - lam[j]
+                S *= lam[j]
+                Y += S
             else:
-                theta -= alp_t[k] * F_s
-                omega -= bet_t[k] * G_s
+                X -= steps[j] * S
         else:
             record(n_iters)
 
@@ -418,8 +421,9 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
                     flagged=abort_k[rep] is not None, abort_k=abort_k[rep])
               for rep in range(n_runs)]
     for i, rep in enumerate(live):
+        x, y = X[i, :, 0], Y[i, :, 0]
         traces[rep].final_state = SolverState(
-            n_iters, theta[i].copy(), omega[i].copy(), f[i].copy(), g[i].copy())
+            n_iters, x[:d].copy(), x[d:].copy(), y[:d].copy(), y[d:].copy())
     return traces if runs is not None else traces[0]
 
 

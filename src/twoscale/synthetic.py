@@ -30,21 +30,19 @@ __all__ = [
 ]
 
 
-def _rows(M, X):
-    """M @ x for each row x of X: numpy's stacked matmul makes one gemv
-    per row, bitwise equal to M @ x (X @ M.T goes through gemm, which
-    sums in another order). A vector X gives M @ X."""
-    if X.ndim == 1:
-        return M @ X
-    return np.matmul(M, X[:, :, None])[:, :, 0]
-
-
 def _spectral_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
 class _CoupledGaussianProblem(TwoTimeScaleProblem):
-    """Affine lower level plus isotropic Gaussian sampling noise."""
+    """Affine lower level plus isotropic Gaussian sampling noise.
+
+    The batched oracle works on column stacks (R, n, 1): numpy's
+    stacked matmul makes one gemv per column, bitwise equal to the
+    vector product M @ x (X @ M.T goes through gemm, which sums in
+    another order). grad h in that form is `_grad`, by default the
+    quadratic-bowl gradient _hess (theta - theta_bar).
+    """
 
     def __init__(self, W, b, C, D, sigma_noise):
         self.W = np.asarray(W, float)
@@ -53,9 +51,13 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
         self.D = np.asarray(D, float)
         self.sigma_noise = float(sigma_noise)
         self.dim_omega, self.dim_theta = self.W.shape
+        self._b = self.b[:, None]
+
+    def _grad(self, theta):
+        return np.matmul(self._hess, theta - self._bar)
 
     def grad_h(self, theta):
-        raise NotImplementedError
+        return self._grad(theta[:, None])[:, 0]
 
     def omega_star(self, theta):
         return self.W @ theta + self.b
@@ -68,30 +70,31 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
 
     def sample(self, theta, omega, env, rng: SeededRng):
         """One normal block: decision-operator noise, then auxiliary."""
-        F, G = self.apply(theta[None], omega[None], [env],
-                          self.draw(rng, 1), [rng])
-        return F[0], G[0], None
+        X = np.concatenate((theta, omega))[None, :, None]
+        S = np.empty_like(X)
+        self.apply(X, [env], self.draw(rng, 1), [rng], S)
+        return S[0, :self.dim_theta, 0], S[0, self.dim_theta:, 0], None
 
     def draw(self, rng: SeededRng, count: int):
-        """`count` rows of d + r normals; None without noise. One call
-        of `normal` when d + r is even: its Box-Muller pairs then never
-        straddle two samples, so the rows are those of `count` draws."""
+        """`count` columns of d + r normals scaled by sigma_noise; None
+        without noise. One call of `normal` when d + r is even: its
+        Box-Muller pairs then never straddle two samples, so the columns
+        are those of `count` draws."""
         n = self.dim_theta + self.dim_omega
         if not self.sigma_noise > 0.0:
             return None
-        if n % 2:
-            return np.stack([rng.normal(n) for _ in range(count)])
-        return rng.normal(count * n).reshape(count, n)
+        z = (np.stack([rng.normal(n) for _ in range(count)]) if n % 2
+             else rng.normal(count * n).reshape(count, n))
+        return (self.sigma_noise * z)[:, :, None]
 
-    def apply(self, theta, omega, envs, noise, rngs):
-        dw = omega - (_rows(self.W, theta) + self.b)
-        F = self.grad_h(theta) + _rows(self.D, dw)
-        G = _rows(self.C, dw)
+    def apply(self, X, envs, noise, rngs, S):
+        d = self.dim_theta
+        theta = X[:, :d]
+        dw = X[:, d:] - (np.matmul(self.W, theta) + self._b)
+        np.add(self._grad(theta), np.matmul(self.D, dw), out=S[:, :d])
+        np.matmul(self.C, dw, out=S[:, d:])
         if noise is not None:
-            d = self.dim_theta
-            F = F + self.sigma_noise * noise[:, :d]
-            G = G + self.sigma_noise * noise[:, d:]
-        return F, G
+            S += noise
 
     def _shared_norms(self):
         return (
@@ -120,14 +123,12 @@ class QuadraticProblem(_CoupledGaussianProblem):
         super().__init__(W, b, C, D, sigma_noise)
         self.Q_h = np.asarray(Q_h, float)
         self.theta_bar = np.asarray(theta_bar, float)
+        self._hess, self._bar = self.Q_h, self.theta_bar[:, None]
         self._attach_accessors(theta_star=self.theta_bar.copy())
 
     def h(self, theta):
         d = theta - self.theta_bar
         return 0.5 * float(d @ (self.Q_h @ d))
-
-    def grad_h(self, theta):
-        return _rows(self.Q_h, theta - self.theta_bar)
 
     def structural_constants(self) -> StructuralConstants:
         nQ = _spectral_norm(self.Q_h)
@@ -152,14 +153,12 @@ class PlProblem(_CoupledGaussianProblem):
         self.A_ls = np.asarray(A_ls, float)
         self.theta_bar = np.asarray(theta_bar, float)
         self.H = self.A_ls.T @ self.A_ls
+        self._hess, self._bar = self.H, self.theta_bar[:, None]
         self._attach_accessors(theta_star=None)
 
     def h(self, theta):
         v = self.A_ls @ (theta - self.theta_bar)
         return 0.5 * float(v @ v)
-
-    def grad_h(self, theta):
-        return _rows(self.H, theta - self.theta_bar)
 
     def structural_constants(self) -> StructuralConstants:
         nH = _spectral_norm(self.H)
@@ -189,7 +188,7 @@ class NonconvexProblem(_CoupledGaussianProblem):
     def h(self, theta):
         return float(np.sum(1.0 - np.cos(theta)))
 
-    def grad_h(self, theta):
+    def _grad(self, theta):
         return np.sin(theta)
 
     def structural_constants(self) -> StructuralConstants:

@@ -239,15 +239,16 @@ def sample_transition(instance: TdcInstance, rng: SeededRng):
 
 
 def sample_transitions(instance: TdcInstance, n: int, rng: SeededRng):
-    """Vectorized batch of i.i.d. transitions (uses 3 uniform blocks)."""
+    """Vectorized batch of i.i.d. transitions (uses 3 uniform blocks);
+    a uniform on a cumulative edge maps as in `inverse_cdf`."""
     u1 = rng.uniform(n)
     u2 = rng.uniform(n)
     u3 = rng.uniform(n)
     s = np.minimum(np.searchsorted(instance._cum_mu, u1, side="right"),
                    instance._cum_mu.size - 1)
-    a = np.minimum((instance._cum_pib[s] < u2[:, None]).sum(axis=1),
+    a = np.minimum((instance._cum_pib[s] <= u2[:, None]).sum(axis=1),
                    instance._cum_pib.shape[1] - 1)
-    sp = np.minimum((instance._cum_P[s, a] < u3[:, None]).sum(axis=1),
+    sp = np.minimum((instance._cum_P[s, a] <= u3[:, None]).sum(axis=1),
                     instance._cum_P.shape[2] - 1)
     return s, a, sp
 

@@ -121,3 +121,17 @@ def test_regime_requires_mu_h():
     sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
     with pytest.raises(ValueError):
         check_conditions(sched, consts, "strongly_convex", 10)
+
+
+def test_first_violating_k_of_the_appendix_schedule():
+    # lambda_k = 0.8/(k+10) falls below beta = 2e-3 once k > 390, and
+    # below alpha = 5e-4 (mu_h = 1) once k > 1590
+    reports = {r.condition_id: r for r in check_conditions(
+        parse_schedule_spec("appendixD"),
+        StructuralConstants(L=1.0, mu_G=1.0, mu_h=1.0), "strongly_convex",
+        2000)}
+    assert reports["beta<=lambda"].first_k == 391
+    assert reports["alpha<=lambda/mu_h"].first_k == 1591
+    assert reports["beta<=lambda"].worst_k == 2000
+    assert reports["alpha<=beta"].satisfied
+    assert reports["alpha<=beta"].first_k is None

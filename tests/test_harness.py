@@ -1,16 +1,19 @@
 import hashlib
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoscale import harness
 from twoscale.harness import (AggregateSeries, ExperimentConfig, HarnessError,
                               UsageError, aggregate, default_schedule,
                               parse_config, parse_schedule_spec, read_csv,
                               render_csv, run_experiment, write_csv)
-from twoscale.solver import Trace, run
+from twoscale.solver import DRAW_BLOCK, Trace, run
 
 
 def small_config(**overrides):
@@ -264,6 +267,39 @@ def test_replica_trace_does_not_depend_on_its_batch(experiment, algo):
     _same_trace(alone, batch(2, 1)[0])      # a batch of one
 
 
+@lru_cache(maxsize=None)
+def _arm(experiment):
+    """(problem, probe, initial state) of an experiment at seed 5."""
+    cfg = ExperimentConfig(experiment=experiment, algo="fast", iters=1,
+                           runs=1, seed=5, stride=1)
+    return harness._BUILDERS[experiment][1](cfg)[:3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(experiment=st.sampled_from(("synthetic-sc", "tdc")),
+       algo=st.sampled_from(("fast", "standard")),
+       runs=st.sampled_from((1, 3)),
+       n_iters=st.integers(1, 2 * DRAW_BLOCK + 40),
+       stride=st.integers(2, 60))
+def test_strided_trace_is_the_stride_one_trace_subsampled(
+        experiment, algo, runs, n_iters, stride):
+    # synthetic-sc draws its noise in blocks of DRAW_BLOCK, tdc row by row
+    problem, probe, init = _arm(experiment)
+    schedule = default_schedule(experiment, algo)
+
+    def traces(s):
+        return run(problem, algo, schedule, n_iters, seed=(5, 1, 0),
+                   probe=probe, stride=s, init_state=init, runs=runs)
+
+    for a, b in zip(traces(stride), traces(1)):
+        assert not b.flagged
+        on_grid = (b.ks % stride == 0) | (b.ks == n_iters)
+        _same_trace(a, Trace(ks=b.ks[on_grid],
+                             metrics={name: col[on_grid]
+                                      for name, col in b.metrics.items()},
+                             final_state=b.final_state))
+
+
 # --- CLI ----------------------------------------------------------------------------
 
 def _cli(*args):
@@ -345,6 +381,17 @@ def test_cli_numerical_failure_exit_code(tmp_path):
              "--schedule", "poly:200,800,800,800", "--stride", "50",
              "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 2
+
+
+def test_cli_check_schedule_prints_the_first_violating_k():
+    r = _cli("check-schedule", "--schedule", "appendixD", "--regime", "sc",
+             "--horizon", "2000")
+    assert r.returncode == 0
+    lines = {line.split()[0]: line.split() for line in r.stdout.splitlines()}
+    assert lines["condition"][-2:] == ["worst_k", "first_k"]
+    assert lines["beta<=lambda"][-2:] == ["2000", "391"]
+    assert lines["alpha<=lambda/mu_h"][-2:] == ["2000", "1591"]
+    assert lines["alpha<=beta"][-1] == "-"
 
 
 def test_cli_check_schedule_and_dump_instance(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from twoscale.numerics import SeededRng
+from twoscale.numerics import ConvergenceError, SeededRng
 from twoscale.regmdp import (RegMdp, RegMdpProblem, exact_J, exact_value,
                              make_regmdp, mean_F, mean_G, sample_F, sample_G,
                              sample_visitation, soft_optimal, softmax_policy,
@@ -287,6 +287,13 @@ def test_soft_optimal_large_entropy_weight():
     m = make_regmdp(2, 2, gamma=0.8, tau_ent=100.0, seed=32)
     _, pi_star, _ = soft_optimal(m)
     assert np.abs(pi_star - 0.5).max() < 0.01
+
+
+def test_soft_optimal_raises_a_typed_error_out_of_iterations():
+    m = make_regmdp(4, 3, gamma=0.9, tau_ent=0.1, seed=33)
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        soft_optimal(m, max_iters=1)
+    assert issubclass(ConvergenceError, RuntimeError)
 
 
 def test_soft_optimal_dominates_random_policies():

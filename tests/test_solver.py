@@ -85,6 +85,21 @@ def test_averaging_dim_mismatch():
                       np.zeros(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("state", [
+    # theta and omega split at the wrong place
+    SolverState(0, np.zeros(4), np.zeros(6), np.zeros(5), np.zeros(5)),
+    # g one entry short
+    SolverState(0, np.zeros(5), np.zeros(5), np.zeros(5), np.zeros(4)),
+    # a zeros state built from a start one entry long
+    SolverState.zeros(ConstantProblem(np.zeros(5), np.zeros(5)),
+                      theta0=np.zeros(6))])
+def test_run_checks_the_initial_state_dimensions(state):
+    problem = ConstantProblem(np.zeros(5), np.zeros(5))
+    sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
+    with pytest.raises(ValueError, match="dimensions"):
+        run(problem, "fast", sched, 3, seed=0, init_state=state)
+
+
 # --- schedules ----------------------------------------------------------------
 
 def test_polynomial_schedule_values():
@@ -508,8 +523,9 @@ class BlockFlaky(Flaky):
     def draw(self, rng, count):
         return rng.uniform(count).reshape(count, 1)
 
-    def apply(self, theta, omega, envs, noise, rngs):
-        return np.where(noise > 0.999, np.inf, noise), np.zeros_like(omega)
+    def apply(self, X, envs, noise, rngs, S):
+        S[:, :1, 0] = np.where(noise > 0.999, np.inf, noise)
+        S[:, 1:] = 0.0
 
 
 @pytest.mark.parametrize("problem", [Flaky(), BlockFlaky()])

@@ -84,6 +84,28 @@ def test_state_frequency_matches_stationary():
     assert np.all(np.abs(counts - n * inst.mu_b) <= 3.0 * sd)
 
 
+class ReplayRng:
+    """Hands out the given uniforms in order, one per value asked for."""
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def uniform(self, size=None):
+        if size is None:
+            return self.us.pop(0)
+        return np.array([self.us.pop(0) for _ in range(size)])
+
+
+def test_samplers_agree_on_a_cumulative_edge():
+    # each uniform sits exactly on a cumulative edge, which belongs to
+    # the next index (searchsorted side="right")
+    inst = generate_instance(6, 6, 3, 0.5, seed=9)
+    us = (inst._cum_mu[1], inst._cum_pib[2][3], inst._cum_P[2, 4][1])
+    assert sample_transition(inst, ReplayRng(us)) == (2, 4, 2)
+    s, a, sp = sample_transitions(inst, 1, ReplayRng(us))
+    assert (s.tolist(), a.tolist(), sp.tolist()) == ([2], [4], [2])
+
+
 def test_full_support_coverage():
     inst = generate_instance(5, 5, 3, 0.5, seed=11)
     s, a, sp = sample_transitions(inst, 1000000, SeededRng(12))
