@@ -23,8 +23,10 @@ import sys
 
 from . import tdc as tdc_mod
 from .conditions import StructuralConstants, check_conditions
-from .harness import (EXPERIMENTS, HarnessError, UsageError, parse_config,
-                      parse_schedule_spec, run_experiment, write_csv)
+from .harness import (KEY_TYPES, PRESETS, HarnessError, UsageError,
+                      parse_config, parse_schedule_spec, run_experiment,
+                      write_csv)
+from .numerics import ConvergenceError
 from .solver import ConfigurationError
 
 __all__ = ["main"]
@@ -44,21 +46,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="run a preset experiment")
-    p_run.add_argument("experiment", choices=EXPERIMENTS)
-    p_run.add_argument("--algo", choices=("fast", "standard", "td0"))
-    p_run.add_argument("--iters", type=int)
-    p_run.add_argument("--runs", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--stride", type=int)
-    p_run.add_argument("--schedule")
-    p_run.add_argument("--out")
+    p_run.add_argument("experiment", choices=tuple(PRESETS))
+    for key, kind in KEY_TYPES.items():
+        if key != "experiment":
+            p_run.add_argument(f"--{key}", type=kind)
     p_run.add_argument("--config", dest="config_file")
-    p_run.add_argument("--states", type=int)
-    p_run.add_argument("--actions", type=int)
-    p_run.add_argument("--dim", type=int)
-    p_run.add_argument("--gamma", type=float)
-    p_run.add_argument("--tau", type=float)
-    p_run.add_argument("--sigma", type=float)
 
     p_chk = sub.add_parser("check-schedule",
                            help="evaluate step-size conditions")
@@ -81,10 +73,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(ns) -> int:
-    keys = ("experiment", "algo", "iters", "runs", "seed", "stride",
-            "schedule", "out", "states", "actions", "dim", "gamma", "tau",
-            "sigma")
-    args = {k: getattr(ns, k) for k in keys}
+    args = {key: getattr(ns, key) for key in KEY_TYPES}
     config = parse_config(args, config_file=ns.config_file)
     result = run_experiment(config)
     path = config.out_path()
@@ -135,10 +124,10 @@ def main(argv=None) -> int:
         if ns.command == "dump-instance":
             return _cmd_dump_instance(ns)
         parser.error("a command is required")
-    except (UsageError, ConfigurationError, ValueError) as err:
+    except (UsageError, ConfigurationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except HarnessError as err:
+    except (HarnessError, ConvergenceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     return 0

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
 from . import lqr as lqr_mod
 from . import regmdp as regmdp_mod
 from . import tdc as tdc_mod
-from .solver import (ResidualProbe, SolverState, StepSchedule, Trace,
+from .solver import (ResidualProbe, SolverState, StepSchedule,
                      custom_schedule, estimate_rate, make_polynomial_schedule,
                      make_sqrt_schedule, run)
 from .synthetic import make_nonconvex, make_pl, make_quadratic
@@ -36,6 +36,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "HarnessError",
+    "KEY_TYPES",
+    "PRESETS",
+    "Preset",
     "UsageError",
     "aggregate",
     "default_schedule",
@@ -46,28 +49,6 @@ __all__ = [
     "run_experiment",
     "write_csv",
 ]
-
-ALGOS = ("fast", "standard", "td0")
-
-
-def _theory_exponent(experiment: str, algo: str) -> float:
-    """Predicted tail exponent of the primary metric: the averaged solver
-    (and TD(0)) carries the 1/k guarantee, the baseline its best-known
-    k^(-2/3); in the nonconvex regime 1/sqrt(k) and k^(-2/5)."""
-    if experiment == "synthetic-nc":
-        return -0.4 if algo == "standard" else -0.5
-    return -2.0 / 3.0 if algo == "standard" else -1.0
-
-
-PRIMARY_METRIC = {
-    "synthetic-sc": "z",
-    "synthetic-pl": "x",
-    "synthetic-nc": "grad_norm_sq",
-    "tdc": "z",
-    "lqr": "gap",
-    "regmdp": "x",
-}
-
 
 class UsageError(ValueError):
     """Bad command line or config file content."""
@@ -95,22 +76,23 @@ class ExperimentConfig:
     sigma: Optional[float] = None      # noise scale (synthetic, lqr)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        preset = PRESETS.get(self.experiment)
+        if preset is None:
             raise UsageError(f"unknown experiment {self.experiment!r}")
-        if self.algo not in ALGOS:
-            raise UsageError(f"unknown algo {self.algo!r}")
-        if self.algo == "td0" and self.experiment != "tdc":
-            raise UsageError("algo td0 is only valid with experiment tdc")
+        if self.algo not in preset.schedules:
+            raise UsageError("algo must be one of " + ", ".join(
+                preset.schedules) + f" with experiment {self.experiment}")
         for key in ("runs", "iters", "stride", "states", "actions", "dim"):
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise UsageError(f"{key} must be >= 1")
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
             raise UsageError("gamma must lie in [0, 1)")
+        if self.tau is not None and not 0.0 < self.tau < np.inf:
+            raise UsageError("tau must be finite and > 0")
         if self.sigma is not None and not 0.0 <= self.sigma < np.inf:
             raise UsageError("sigma must be finite and >= 0")
-        reads = _BUILDERS[self.experiment][0]
-        unread = [key for key in _INSTANCE_KEYS
-                  if getattr(self, key) is not None and key not in reads]
+        unread = [key for key in _INSTANCE_KEYS if getattr(self, key)
+                  is not None and key not in preset.reads]
         if unread:
             raise UsageError(f"experiment {self.experiment} does not read "
                              + ", ".join(unread))
@@ -122,23 +104,11 @@ class ExperimentConfig:
                             f"{self.experiment}-{self.algo}-{self.seed}.csv")
 
 
-_INT_KEYS = ("iters", "runs", "seed", "stride", "states", "actions", "dim")
-_FLOAT_KEYS = ("gamma", "tau", "sigma")
-# keys that shape an experiment's instance; each builder reads a subset
-_INSTANCE_KEYS = ("states", "actions", "dim", "gamma", "tau", "sigma")
-_STR_KEYS = ("experiment", "algo", "schedule", "out")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
-
-
-def _coerce(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
-    except ValueError:
-        raise UsageError(f"malformed value {value!r} for key {key!r}")
+# each `run` key -> the type of its value (int, float or str: the type of
+# its field, Optional or not), in field order
+KEY_TYPES = {
+    name: next(t for t in (int, float, str) if t in (hint, *get_args(hint)))
+    for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(args, config_file: Optional[str] = None) -> ExperimentConfig:
@@ -157,13 +127,15 @@ def parse_config(args, config_file: Optional[str] = None) -> ExperimentConfig:
                 if "=" not in line:
                     raise UsageError(
                         f"{config_file}:{lineno}: expected key=value, got {line!r}")
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in _ALL_KEYS:
+                key, _, val = (part.strip() for part in line.partition("="))
+                if key not in KEY_TYPES:
                     raise UsageError(f"{config_file}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, val.strip())
+                try:
+                    values[key] = KEY_TYPES[key](val)
+                except ValueError:
+                    raise UsageError(f"malformed value {val!r} for key {key!r}")
     for key, val in args.items():
-        if key not in _ALL_KEYS:
+        if key not in KEY_TYPES:
             raise UsageError(f"unknown key {key!r}")
         if val is not None:
             values[key] = val
@@ -196,54 +168,20 @@ def parse_schedule_spec(spec: str) -> StepSchedule:
     raise UsageError(f"malformed schedule spec {spec!r}")
 
 
-def _poly23(c_alpha, c_beta, tau):
-    """Baseline family: both steps decaying as (k+tau+1)^(-2/3)."""
-    return custom_schedule(
-        lambda k: 1.0,
-        lambda k: c_alpha / (k + tau + 1.0) ** (2.0 / 3.0),
-        lambda k: c_beta / (k + tau + 1.0) ** (2.0 / 3.0),
-        params={"c_alpha": c_alpha, "c_beta": c_beta, "decay": 2.0 / 3.0,
-                "tau": tau},
-        tau=tau,
-    )
+def _baseline(alpha, beta, params, tau=None) -> StepSchedule:
+    """The baseline's schedule: lambda_k = 1 and alpha_k = c/(k+tau+1)^decay
+    for alpha = (c, decay), likewise beta; tau None counts as 0. Each k
+    goes through Python's scalar `**`, since numpy's array `**` is 1 ulp
+    off in some entries."""
+    def step(c, decay):
+        return lambda k: c / (k + (tau or 0.0) + 1.0) ** decay
+    return custom_schedule(lambda k: 1.0, step(*alpha), step(*beta),
+                           params=params, tau=tau)
 
 
 def default_schedule(experiment: str, algo: str) -> StepSchedule:
-    """Tuned defaults per (experiment, algorithm).
-
-    The averaged solver runs at its prescribed order (1/k, or 1/sqrt(k)
-    in the nonconvex regime); baselines run at their best-known order
-    (2/3, or 3/5 in the nonconvex regime). The policy-evaluation
-    experiment defaults to the reference constant-step schedule for
-    every arm.
-    """
-    if experiment in ("synthetic-sc", "synthetic-pl", "regmdp"):
-        if algo == "fast":
-            return make_polynomial_schedule(40.0, 16.0, 16.0, 160.0)
-        return _poly23(2.0, 8.0, 160.0)
-    if experiment == "synthetic-nc":
-        if algo == "fast":
-            return make_sqrt_schedule(0.05, 0.05)
-        return custom_schedule(
-            lambda k: 1.0,
-            lambda k: 0.05 / (k + 1.0) ** 0.6,
-            lambda k: 0.05 / (k + 1.0) ** 0.6,
-            params={"alpha0": 0.05, "beta0": 0.05, "decay": 0.6},
-        )
-    if experiment == "tdc":
-        return parse_schedule_spec("appendixD")
-    if experiment == "lqr":
-        if algo == "fast":
-            return make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
-        return custom_schedule(
-            lambda k: 1.0,
-            lambda k: 8.0 / (k + 801.0),
-            lambda k: 2.0 / (k + 801.0) ** (2.0 / 3.0),
-            params={"c_alpha": 8.0, "c_beta": 2.0, "beta_decay": 2.0 / 3.0,
-                    "tau": 800.0},
-            tau=800.0,
-        )
-    raise UsageError(f"unknown experiment {experiment!r}")
+    """The tuned default of an (experiment, algorithm) arm, from PRESETS."""
+    return PRESETS[experiment].schedules[algo]
 
 
 # --- aggregation ---------------------------------------------------------------
@@ -294,25 +232,33 @@ def aggregate(traces) -> AggregateSeries:
 
 
 def _fit_rate(config: ExperimentConfig, series: AggregateSeries):
-    metric = PRIMARY_METRIC[config.experiment]
+    """Tail slope of the primary metric, beside the predicted exponent:
+    the averaged solver (and TD(0)) carries the 1/k guarantee, the
+    baseline its best-known k^(-2/3); in the nonconvex regime, on the
+    running minimum, 1/sqrt(k) and k^(-2/5)."""
+    metric = PRESETS[config.experiment].metric
     if metric not in series.means:
         return None
     values = series.means[metric]
-    running_min = config.experiment == "synthetic-nc"
-    if running_min:
+    nonconvex = config.experiment == "synthetic-nc"
+    if nonconvex:
         values = np.minimum.accumulate(values)
     window = 0.5
     try:
         fit = estimate_rate(series.ks, values, window)
     except ValueError:
         return None
+    if config.algo == "standard":
+        theory = -0.4 if nonconvex else -2.0 / 3.0
+    else:
+        theory = -0.5 if nonconvex else -1.0
     return {
-        "metric": metric + ("_runmin" if running_min else ""),
+        "metric": metric + ("_runmin" if nonconvex else ""),
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r2": fit.r_squared,
         "window": window,
-        "theory_exponent": _theory_exponent(config.experiment, config.algo),
+        "theory_exponent": theory,
     }
 
 
@@ -378,16 +324,55 @@ def _build_regmdp(config: ExperimentConfig):
                  J_star=problem.J_star))
 
 
-# experiment -> (the instance keys its builder reads, builder)
-_BUILDERS = {
-    "synthetic-sc": (("dim", "sigma"), _build_synthetic),
-    "synthetic-pl": (("dim", "sigma"), _build_synthetic),
-    "synthetic-nc": (("dim", "sigma"), _build_synthetic),
-    "tdc": (("states", "actions", "dim", "gamma"), _build_tdc),
-    "lqr": (("sigma",), _build_lqr),
-    "regmdp": (("states", "actions", "gamma", "tau"), _build_regmdp),
+class Preset(NamedTuple):
+    """One experiment: the instance keys its builder reads, the builder,
+    the primary metric of the rate fit, and algo -> default schedule.
+    The schedule keys are the algos the experiment runs."""
+
+    reads: tuple
+    build: Callable
+    metric: str
+    schedules: dict
+
+
+# Defaults: the averaged solver at its prescribed order (1/k, or
+# 1/sqrt(k) in the nonconvex regime), the baseline at its best-known
+# order (k^(-2/3), or k^(-3/5) in the nonconvex regime); every
+# policy-evaluation arm under the reference constant-step schedule.
+_ONE_OVER_K = {
+    "fast": make_polynomial_schedule(40.0, 16.0, 16.0, 160.0),
+    "standard": _baseline((2.0, 2.0 / 3.0), (8.0, 2.0 / 3.0),
+                          {"c_alpha": 2.0, "c_beta": 8.0, "decay": 2.0 / 3.0,
+                           "tau": 160.0}, tau=160.0),
 }
-EXPERIMENTS = tuple(_BUILDERS)
+
+PRESETS = {
+    "synthetic-sc": Preset(("dim", "sigma"), _build_synthetic, "z",
+                           _ONE_OVER_K),
+    "synthetic-pl": Preset(("dim", "sigma"), _build_synthetic, "x",
+                           _ONE_OVER_K),
+    "synthetic-nc": Preset(
+        ("dim", "sigma"), _build_synthetic, "grad_norm_sq",
+        {"fast": make_sqrt_schedule(0.05, 0.05),
+         "standard": _baseline((0.05, 0.6), (0.05, 0.6),
+                               {"alpha0": 0.05, "beta0": 0.05,
+                                "decay": 0.6})}),
+    "tdc": Preset(("states", "actions", "dim", "gamma"), _build_tdc, "z",
+                  dict.fromkeys(("fast", "standard", "td0"),
+                                parse_schedule_spec("appendixD"))),
+    "lqr": Preset(
+        ("sigma",), _build_lqr, "gap",
+        {"fast": make_polynomial_schedule(40.0, 8.0, 10.0, 400.0),
+         "standard": _baseline((8.0, 1.0), (2.0, 2.0 / 3.0),
+                               {"c_alpha": 8.0, "c_beta": 2.0,
+                                "beta_decay": 2.0 / 3.0, "tau": 800.0},
+                               tau=800.0)}),
+    "regmdp": Preset(("states", "actions", "gamma", "tau"), _build_regmdp,
+                     "x", _ONE_OVER_K),
+}
+# keys that shape an experiment's instance, in field order
+_INSTANCE_KEYS = tuple(key for key in KEY_TYPES
+                       if any(key in p.reads for p in PRESETS.values()))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -401,8 +386,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedule = (parse_schedule_spec(config.schedule)
                 if config.schedule is not None
                 else default_schedule(config.experiment, config.algo))
-    build = _BUILDERS[config.experiment][1]
-    problem, probe, init, header_extra = build(config)
+    problem, probe, init, header_extra = PRESETS[config.experiment].build(
+        config)
     algo = "standard" if config.algo == "td0" else config.algo
     traces = run(problem, algo, schedule, config.iters,
                  seed=(config.seed, 1, 0), probe=probe,

@@ -316,13 +316,13 @@ def gap_probe(problem: LqrProblem) -> ResidualProbe:
         try:
             J_K, Om = _cost_and_omega(system, theta.reshape(shape))
         except UnstableSystemError:
-            return math.nan, math.nan, 0.0
+            return {"gap": math.nan, "y": math.nan, "stabilizing": 0.0}
         crit = np.concatenate([[omega[0] - J_K],
                                svec(omega[1:].reshape(n, n)) - svec(Om)])
-        return J_K - system.J_star, float(crit @ crit), 1.0
+        return {"gap": J_K - system.J_star, "y": float(crit @ crit),
+                "stabilizing": 1.0}
 
-    return ResidualProbe(problem, extra_names=("gap", "y", "stabilizing"),
-                         extra=ground_truth)
+    return ResidualProbe(problem, extra=ground_truth)
 
 
 def run_lqr(system: LqrSystem, algo: str, schedule: StepSchedule,

@@ -64,8 +64,8 @@ class RegMdp:
             raise ValueError("rewards must lie in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if not self.tau_ent > 0.0:
-            raise ValueError("tau_ent must be positive")
+        if not 0.0 < self.tau_ent < np.inf:
+            raise ValueError("tau_ent must be finite and positive")
         if np.any(self.rho0 <= 0.0) or abs(self.rho0.sum() - 1.0) > 1e-9:
             raise ValueError("rho0 must be a full-support distribution")
 

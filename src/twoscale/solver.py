@@ -228,14 +228,13 @@ class ResidualProbe:
     Mean operators come from the problem's deterministic mean oracle;
     without one, the residuals (and V) are not recorded.
 
-    `extra(theta, omega)` returns one value per name in `extra_names`,
-    from one evaluation; they are recorded after the residual metrics.
+    `extra(theta, omega)` returns a dict of further metrics from one
+    evaluation; they are recorded after the residual metrics. `compute`
+    alone names the metrics: a run's columns are the keys of its first
+    row.
     """
 
-    def __init__(self, problem: TwoTimeScaleProblem, extra_names=(),
-                 extra=None):
-        self.problem = problem
-        self.extra_names = tuple(extra_names)
+    def __init__(self, problem: TwoTimeScaleProblem, extra=None):
         self.extra = extra
         ex = problem.exact
         if ex is None:
@@ -244,23 +243,6 @@ class ResidualProbe:
         self._has_residuals = ex.mean_f is not None and ex.mean_g is not None
         self._has_grad = ex.grad_h is not None or (
             ex.omega_star is not None and ex.mean_f is not None)
-
-    def metric_names(self, include_residuals: bool = True):
-        ex = self._ex
-        names = []
-        if ex.theta_star is not None:
-            names.append("z")
-        if ex.h is not None and ex.h_star is not None:
-            names.append("x")
-        if ex.omega_star is not None:
-            names.append("y")
-        if self._has_grad:
-            names.append("grad_norm_sq")
-        if include_residuals and self._has_residuals:
-            names += ["delta_f_sq", "delta_g_sq"]
-            if ("y" in names) and ("z" in names or "x" in names):
-                names.append("V")
-        return names + list(self.extra_names)
 
     def compute(self, theta, omega, f=None, g=None) -> dict:
         ex = self._ex
@@ -287,7 +269,7 @@ class ResidualProbe:
                 out["V"] = (out["delta_f_sq"] + out["delta_g_sq"]
                             + out.get("z", out.get("x")) + out["y"])
         if self.extra is not None:
-            for name, v in zip(self.extra_names, self.extra(theta, omega)):
+            for name, v in self.extra(theta, omega).items():
                 out[name] = float(v)
         return out
 
@@ -345,9 +327,9 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
         raise ConfigurationError(
             f"averaging weight {lam_t[bad]!r} at k={bad} outside (0, 1]")
 
-    names = probe.metric_names(include_residuals=fast) if probe else []
+    names = []      # the probe's metrics: the keys of its first row, at k = 0
     ks = [[] for _ in range(n_runs)]
-    cols = [{name: [] for name in names} for _ in range(n_runs)]
+    rows = [[] for _ in range(n_runs)]
     abort_k = [None] * n_runs
     live = list(range(n_runs))      # the replica in each row
 
@@ -375,12 +357,13 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
                 x, y = X[i, :, 0], Y[i, :, 0]
                 vals = probe.compute(x[:d], x[d:], y[:d] if fast else None,
                                      y[d:] if fast else None)
+                if not names:
+                    names.extend(vals)
                 row = [vals[name] for name in names]
                 if not all(map(math.isfinite, row)):
                     keep[i] = False
                     continue
-                for name, v in zip(names, row):
-                    cols[rep][name].append(v)
+                rows[rep].append(row)
             ks[rep].append(k)
         return keep.all() or drop(keep, k)
 
@@ -416,8 +399,8 @@ def run(problem: TwoTimeScaleProblem, algo: str, schedule: StepSchedule,
             record(n_iters)
 
     traces = [Trace(ks=np.asarray(ks[rep], dtype=np.int64),
-                    metrics={name: np.asarray(col)
-                             for name, col in cols[rep].items()},
+                    metrics=dict(zip(names, np.reshape(
+                        rows[rep], (len(rows[rep]), len(names))).T)),
                     flagged=abort_k[rep] is not None, abort_k=abort_k[rep])
               for rep in range(n_runs)]
     for i, rep in enumerate(live):

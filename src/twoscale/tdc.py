@@ -368,10 +368,9 @@ def mspbe_probe(problem) -> ResidualProbe:
     instance = problem.instance
 
     def target_mspbe(theta, omega):
-        return (exact_mspbe(instance, theta, weighting="target"),)
+        return {"mspbe_pi": exact_mspbe(instance, theta, weighting="target")}
 
-    return ResidualProbe(problem, extra_names=("mspbe_pi",),
-                         extra=target_mspbe)
+    return ResidualProbe(problem, extra=target_mspbe)
 
 
 def run_td0(instance: TdcInstance, schedule: StepSchedule, n_iters: int,
@@ -398,11 +397,15 @@ def dump_instance(instance: TdcInstance, path) -> None:
     transition kernel (S*A rows of S), features (S rows of d), target
     and behavior policies (S rows of A each), theta_star (1 row), and
     the per-state reward (1 row). Floats use repr for exact round trip.
+    The seed is -1 for None, an int, or a tuple's comma-joined ints
+    (`1,2`; a 1-tuple keeps a trailing comma, `1,`).
     """
     mdp = instance.mdp
     S, A = mdp.n_states, mdp.n_actions
     d = instance.features.Phi.shape[1]
-    seed = instance.seed if instance.seed is not None else -1
+    seed = -1 if instance.seed is None else instance.seed
+    if np.ndim(seed):
+        seed = ",".join(str(int(s)) for s in seed) + "," * (len(seed) == 1)
     lines = [f"tdc {S} {A} {d} {repr(float(mdp.gamma))} {seed}"]
     _write_block(lines, mdp.P.reshape(S * A, S))
     _write_block(lines, instance.features.Phi)
@@ -422,7 +425,8 @@ def load_instance(path) -> TdcInstance:
         raise ValueError("not a tdc instance file")
     S, A, d = int(head[1]), int(head[2]), int(head[3])
     gamma = float(head[4])
-    seed = int(head[5])
+    seed = [int(s) for s in head[5].split(",") if s]
+    seed = tuple(seed) if "," in head[5] else seed[0]
     vals = [np.array([float(tok) for tok in ln.split()]) for ln in lines[1:]]
     rows = iter(vals)
     take = lambda n: np.stack([next(rows) for _ in range(n)])

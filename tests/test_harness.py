@@ -1,18 +1,23 @@
 import hashlib
+import math
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twoscale import harness
-from twoscale.harness import (AggregateSeries, ExperimentConfig, HarnessError,
-                              UsageError, aggregate, default_schedule,
-                              parse_config, parse_schedule_spec, read_csv,
-                              render_csv, run_experiment, write_csv)
+from twoscale import cli, harness
+from twoscale.harness import (KEY_TYPES, PRESETS, AggregateSeries,
+                              ExperimentConfig, HarnessError, UsageError,
+                              aggregate, default_schedule, parse_config,
+                              parse_schedule_spec, read_csv, render_csv,
+                              run_experiment, write_csv)
+from twoscale.numerics import ConvergenceError
 from twoscale.solver import DRAW_BLOCK, Trace, run
 
 
@@ -60,12 +65,161 @@ def test_td0_only_valid_with_tdc():
         ExperimentConfig(experiment="lqr", algo="td0")
 
 
+def test_config_accepts_exactly_the_algos_of_its_preset():
+    algos = {a for p in PRESETS.values() for a in p.schedules} | {"bogus"}
+    for experiment, preset in PRESETS.items():
+        for algo in sorted(algos):
+            if algo in preset.schedules:
+                assert ExperimentConfig(experiment=experiment,
+                                        algo=algo).algo == algo
+            else:
+                with pytest.raises(UsageError, match="algo must be one of"):
+                    ExperimentConfig(experiment=experiment, algo=algo)
+
+
+# Values of every `run` key but experiment and algo, each valid on its own.
+_KEY_VALUES = {
+    "schedule": st.sampled_from(("appendixD", "poly:40,16,16,160",
+                                 "sqrt:0.05,0.05")),
+    "iters": st.integers(1, 10**6),
+    "runs": st.integers(1, 100),
+    "seed": st.integers(0, 10**6),
+    "stride": st.integers(1, 10**4),
+    "out": st.from_regex(r"[a-z0-9_][a-z0-9_./-]{0,15}", fullmatch=True),
+    "states": st.integers(1, 100),
+    "actions": st.integers(1, 100),
+    "dim": st.integers(1, 100),
+    "gamma": st.floats(0.0, 1.0, exclude_max=True),
+    "tau": st.floats(0.0, 1e6, exclude_min=True),
+    "sigma": st.floats(0.0, 1e6),
+}
+
+
+@st.composite
+def _valid_keys(draw):
+    """A random valid set of `run` keys: an experiment, maybe an algo of
+    its preset, and any of the other keys it reads."""
+    experiment = draw(st.sampled_from(sorted(PRESETS)))
+    preset = PRESETS[experiment]
+    keys = {"experiment": experiment}
+    if draw(st.booleans()):
+        keys["algo"] = draw(st.sampled_from(sorted(preset.schedules)))
+    for key, values in _KEY_VALUES.items():
+        readable = key in preset.reads or key not in harness._INSTANCE_KEYS
+        if readable and draw(st.booleans()):
+            keys[key] = draw(values)
+    return keys
+
+
+def _config_of_cli(argv):
+    """The config `twoscale <argv>` would run, captured at run_experiment."""
+    seen = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(config):
+        seen.append(config)
+        raise Captured
+
+    with mock.patch.object(cli, "run_experiment", capture):
+        with pytest.raises(Captured):
+            cli.main(argv)
+    return seen[0]
+
+
+def test_every_run_key_has_generated_values():
+    assert set(KEY_TYPES) == {"experiment", "algo", *_KEY_VALUES}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=_valid_keys())
+def test_cli_flags_and_config_file_give_the_same_config(tmp_path, keys):
+    def text(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    flags = [f"--{key}={text(value)}" for key, value in keys.items()
+             if key != "experiment"]
+    from_flags = _config_of_cli(["run", keys["experiment"], *flags])
+    path = tmp_path / "cfg.txt"
+    path.write_text("".join(f"{key}={text(value)}\n"
+                            for key, value in keys.items()))
+    from_file = _config_of_cli(["run", keys["experiment"],
+                                "--config", str(path)])
+    assert from_flags == from_file == ExperimentConfig(**keys)
+
+
 def test_schedule_spec_reference_constants():
     lam, alp, bet = parse_schedule_spec("appendixD").tabulate(100000)
     assert alp[0] == 5e-4 and alp[99999] == 5e-4
     assert bet[12] == 2e-3
     assert lam[0] == pytest.approx(0.08, abs=1e-15)
     assert lam[40] == pytest.approx(0.016, abs=1e-15)
+
+
+# Each arm's default schedule as its docstring states it, with the
+# `kind`, `params` and `tau` that go into the CSV header: polynomial
+# c/(k+tau+1); sqrt 1/4 and c/sqrt(k+1); the baseline lambda_k = 1,
+# c/(k+tau+1)^decay; appendixD 4/(5(k+10)), 5e-4, 2e-3.
+_ONE_OVER_K = {
+    "fast": ("polynomial", {"c_lambda": 40.0, "c_alpha": 16.0,
+                            "c_beta": 16.0, "tau": 160.0}, 160.0,
+             lambda k: (40.0 / (k + 161.0), 16.0 / (k + 161.0),
+                        16.0 / (k + 161.0))),
+    "standard": ("custom", {"c_alpha": 2.0, "c_beta": 8.0,
+                            "decay": 2.0 / 3.0, "tau": 160.0}, 160.0,
+                 lambda k: (1.0, 2.0 / (k + 161.0) ** (2.0 / 3.0),
+                            8.0 / (k + 161.0) ** (2.0 / 3.0))),
+}
+_APPENDIX_D = ("custom", {"alpha": 5e-4, "beta": 2e-3, "c_lambda": 0.8,
+                          "tau": 9.0}, 9.0,
+               lambda k: (4.0 / (5.0 * (k + 10.0)), 5e-4, 2e-3))
+DEFAULT_SCHEDULES = {
+    ("synthetic-sc", "fast"): _ONE_OVER_K["fast"],
+    ("synthetic-sc", "standard"): _ONE_OVER_K["standard"],
+    ("synthetic-pl", "fast"): _ONE_OVER_K["fast"],
+    ("synthetic-pl", "standard"): _ONE_OVER_K["standard"],
+    ("synthetic-nc", "fast"): (
+        "sqrt", {"alpha0": 0.05, "beta0": 0.05}, None,
+        lambda k: (0.25 / math.sqrt(k + 1.0), 0.05 / math.sqrt(k + 1.0),
+                   0.05 / math.sqrt(k + 1.0))),
+    ("synthetic-nc", "standard"): (
+        "custom", {"alpha0": 0.05, "beta0": 0.05, "decay": 0.6}, None,
+        lambda k: (1.0, 0.05 / (k + 1.0) ** 0.6, 0.05 / (k + 1.0) ** 0.6)),
+    ("tdc", "fast"): _APPENDIX_D,
+    ("tdc", "standard"): _APPENDIX_D,
+    ("tdc", "td0"): _APPENDIX_D,
+    ("lqr", "fast"): (
+        "polynomial", {"c_lambda": 40.0, "c_alpha": 8.0, "c_beta": 10.0,
+                       "tau": 400.0}, 400.0,
+        lambda k: (40.0 / (k + 401.0), 8.0 / (k + 401.0),
+                   10.0 / (k + 401.0))),
+    ("lqr", "standard"): (
+        "custom", {"c_alpha": 8.0, "c_beta": 2.0, "beta_decay": 2.0 / 3.0,
+                   "tau": 800.0}, 800.0,
+        lambda k: (1.0, 8.0 / (k + 801.0),
+                   2.0 / (k + 801.0) ** (2.0 / 3.0))),
+    ("regmdp", "fast"): _ONE_OVER_K["fast"],
+    ("regmdp", "standard"): _ONE_OVER_K["standard"],
+}
+
+
+def test_default_schedules_cover_every_arm():
+    arms = {(e, a) for e, preset in PRESETS.items() for a in preset.schedules}
+    assert arms == set(DEFAULT_SCHEDULES)
+
+
+@pytest.mark.parametrize("experiment,algo", sorted(DEFAULT_SCHEDULES))
+def test_default_schedule_is_its_closed_form_bitwise(experiment, algo):
+    kind, params, tau, steps = DEFAULT_SCHEDULES[experiment, algo]
+    schedule = default_schedule(experiment, algo)
+    assert (schedule.kind, schedule.params, schedule.tau) == (kind, params,
+                                                              tau)
+    n = 200_000
+    expected = np.array([steps(k) for k in range(n)]).T
+    for got, want in zip(schedule.tabulate(n), expected):
+        assert np.array_equal(got, want)
 
 
 def test_schedule_spec_poly_and_sqrt():
@@ -250,7 +404,7 @@ def test_replica_trace_does_not_depend_on_its_batch(experiment, algo):
     # 300 iterations cross the first draw block's end at 256
     cfg = ExperimentConfig(experiment=experiment, algo=algo, iters=300,
                            runs=1, seed=5, stride=7)
-    problem, probe, init, _ = harness._BUILDERS[experiment][1](cfg)
+    problem, probe, init, _ = harness.PRESETS[experiment].build(cfg)
     schedule = default_schedule(experiment, algo)
     solver_algo = "standard" if algo == "td0" else algo
 
@@ -272,7 +426,7 @@ def _arm(experiment):
     """(problem, probe, initial state) of an experiment at seed 5."""
     cfg = ExperimentConfig(experiment=experiment, algo="fast", iters=1,
                            runs=1, seed=5, stride=1)
-    return harness._BUILDERS[experiment][1](cfg)[:3]
+    return harness.PRESETS[experiment].build(cfg)[:3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,6 +489,8 @@ def test_cli_usage_error_exit_code():
     ("tdc", "--states", "0"),
     ("tdc", "--actions", "0"),
     ("synthetic-sc", "--dim", "0"),
+    ("regmdp", "--tau", "0"),
+    ("regmdp", "--tau", "inf"),
 ])
 def test_cli_rejects_values_outside_their_domain(tmp_path, experiment, flag,
                                                  value):
@@ -381,6 +537,36 @@ def test_cli_numerical_failure_exit_code(tmp_path):
              "--schedule", "poly:200,800,800,800", "--stride", "50",
              "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 2
+
+
+def test_cli_ground_truth_out_of_iterations_is_a_numerical_failure(capsys):
+    def run_out(config):
+        raise ConvergenceError("soft value iteration did not converge")
+
+    with mock.patch.object(cli, "run_experiment", run_out):
+        assert cli.main(["run", "regmdp", "--iters", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: soft value iteration did not converge\n")
+
+
+def test_cli_unwritable_out_is_a_usage_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    r = _cli("run", "synthetic-sc", "--iters", "10", "--runs", "1",
+             "--out", str(blocker / "x.csv"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_usage_texts_name_every_run_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    for text in (cli.__doc__, block):
+        usage = text[text.index("twoscale run"):
+                     text.index("twoscale check-schedule")]
+        for key in KEY_TYPES:
+            flag = "<experiment>" if key == "experiment" else f"[--{key} "
+            assert flag in usage, key
 
 
 def test_cli_check_schedule_prints_the_first_violating_k():

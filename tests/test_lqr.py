@@ -492,8 +492,8 @@ def test_standard_step_literal_form():
 def test_gap_probe_reads_nonfinite_for_unstable_gain():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
     probe = gap_probe(LqrProblem(system))
-    assert probe.metric_names() == ["gap", "y", "stabilizing"]
     vals = probe.compute(np.full(6, -5.0), np.zeros(26))
+    assert list(vals) == ["gap", "y", "stabilizing"]
     assert math.isnan(vals["gap"]) and math.isnan(vals["y"])
     _, K_star = dare_solve(system)
     vals = probe.compute(K_star.ravel(), np.zeros(26))

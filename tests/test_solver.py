@@ -368,9 +368,9 @@ def test_probe_gradient_from_mean_operator_shares_omega_star():
                                         mean_g=inner.mean_g)
 
     probe = ResidualProbe(NoGrad())
-    assert "grad_norm_sq" in probe.metric_names()
     theta = np.linspace(-1.0, 1.0, 5)
     vals = probe.compute(theta, np.zeros(5))
+    assert "grad_norm_sq" in vals
     assert len(calls) == 1
     grad = inner.mean_f(theta, inner.omega_star(theta))
     assert vals["grad_norm_sq"] == float(grad @ grad)
@@ -381,28 +381,30 @@ def test_probe_gradient_from_mean_operator_shares_omega_star():
 def test_record_tests_each_metric_value_for_finiteness():
     # two finite values whose sum overflows must not flag the run
     problem = ConstantProblem(np.zeros(2), np.zeros(2))
-    probe = ResidualProbe(problem, extra_names=("a", "b"),
-                          extra=lambda th, om: (1e308, 1e308))
+    probe = ResidualProbe(problem,
+                          extra=lambda th, om: {"a": 1e308, "b": 1e308})
     sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
     trace = run(problem, "fast", sched, 10, seed=0, probe=probe, stride=5)
     assert not trace.flagged
     assert list(trace.ks) == [0, 5, 10]
     assert np.all(trace.metrics["a"] == 1e308)
     # one non-finite value among finite ones does flag it, at k = 0
-    probe = ResidualProbe(problem, extra_names=("a", "b"),
-                          extra=lambda th, om: (1.0, np.nan))
+    probe = ResidualProbe(problem,
+                          extra=lambda th, om: {"a": 1.0, "b": np.nan})
     trace = run(problem, "fast", sched, 10, seed=0, probe=probe, stride=5)
     assert trace.flagged and trace.abort_k == 0 and trace.ks.size == 0
 
 
 def test_residual_columns_only_when_the_probe_can_compute_them():
     problem = ConstantProblem(np.zeros(2), np.zeros(2))
-    probe = ResidualProbe(problem, extra_names=("m",),
-                          extra=lambda th, om: (1.0,))
-    assert probe.metric_names() == ["m"]
+    probe = ResidualProbe(problem, extra=lambda th, om: {"m": 1.0})
+    sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
+    assert list(run(problem, "fast", sched, 3, seed=0,
+                    probe=probe).metrics) == ["m"]
     assert probe.compute(np.zeros(2), np.zeros(2), f=np.zeros(2),
                          g=np.zeros(2)) == {"m": 1.0}
-    assert "delta_f_sq" in ResidualProbe(quad()).metric_names()
+    assert "delta_f_sq" in ResidualProbe(quad()).compute(
+        np.zeros(5), np.zeros(5), f=np.zeros(5), g=np.zeros(5))
 
 
 class CountingChain(TwoTimeScaleProblem):
@@ -532,8 +534,8 @@ class BlockFlaky(Flaky):
 def test_flagged_replica_keeps_its_alone_trace_in_a_mixed_batch(problem):
     # theta drifts down by about 0.005 a step; the probe's metric goes
     # non-finite below -2.8, which some replicas reach before the end
-    probe = ResidualProbe(problem, extra_names=("m",), extra=lambda th, om: (
-        np.nan if th[0] < -2.8 else th[0],))
+    probe = ResidualProbe(problem, extra=lambda th, om: {
+        "m": np.nan if th[0] < -2.8 else th[0]})
     sched = custom_schedule(lambda k: 0.5, lambda k: 0.01, lambda k: 0.01)
     n_iters = 2 * DRAW_BLOCK + 50
     batch = run(problem, "fast", sched, n_iters, seed=(1, 0), probe=probe,

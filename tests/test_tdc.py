@@ -312,6 +312,20 @@ def test_dump_load_round_trip(tmp_path):
         path2.read_text().splitlines()[1:]
 
 
+@pytest.mark.parametrize("seed,token", [(34, "34"), ((1, 2), "1,2"),
+                                        ((7,), "7,"), (None, "-1")])
+def test_dump_load_round_trips_the_seed(tmp_path, seed, token):
+    inst = generate_instance(4, 3, 2, 0.5, seed=34)
+    inst = TdcInstance(inst.mdp, inst.features, inst.pi_target,
+                       inst.pi_behavior, inst.theta_star, seed=seed)
+    path = tmp_path / "inst.txt"
+    dump_instance(inst, path)
+    assert path.read_text().splitlines()[0].split()[5] == token
+    back = load_instance(path)
+    assert back.seed == seed and type(back.seed) is type(seed)
+    assert np.array_equal(back.mdp.P, inst.mdp.P)
+
+
 def test_behavior_policy_full_support_required():
     inst = generate_instance(3, 2, 2, 0.5, seed=35)
     bad = inst.pi_behavior.copy()
