@@ -24,7 +24,6 @@ from .numerics import (
 )
 from .solver import (
     ConfigurationError,
-    ExactAccessors,
     RateFit,
     ResidualProbe,
     SolverState,

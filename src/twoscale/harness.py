@@ -26,8 +26,8 @@ import numpy as np
 from . import lqr as lqr_mod
 from . import regmdp as regmdp_mod
 from . import tdc as tdc_mod
-from .solver import (ResidualProbe, SolverState, StepSchedule,
-                     custom_schedule, estimate_rate, make_polynomial_schedule,
+from .solver import (ResidualProbe, StepSchedule, custom_schedule,
+                     estimate_rate, make_polynomial_schedule,
                      make_sqrt_schedule, run)
 from .synthetic import make_nonconvex, make_pl, make_quadratic
 
@@ -203,7 +203,7 @@ class ExperimentResult:
     series: AggregateSeries
     schedule: StepSchedule
     rate: Optional[dict]
-    header_extra: dict = field(default_factory=dict)
+    problem_header: dict = field(default_factory=dict)
 
 
 def aggregate(traces) -> AggregateSeries:
@@ -264,15 +264,14 @@ def _fit_rate(config: ExperimentConfig, series: AggregateSeries):
 
 # --- experiment builders --------------------------------------------------------
 #
-# A builder returns (problem, probe, initial state, header extras); the
-# initial state None means all zeros. Builders call the instance makers
-# through module attributes at call time, so that wrappers installed on
-# those attributes (perfbench/tracing.py) see every call.
+# A builder returns (problem, header extras); the problem carries its
+# ground truth, metrics and start point. Builders call the instance
+# makers through module attributes at call time, so that wrappers
+# installed on those attributes (perfbench/tracing.py) see every call.
 
 def _build_synthetic(config: ExperimentConfig):
     d = config.dim if config.dim is not None else 5
     sigma = config.sigma if config.sigma is not None else 0.1
-    init = None
     if config.experiment == "synthetic-sc":
         problem, consts = make_quadratic(d, d, seed=config.seed,
                                          condition_number=10.0,
@@ -283,11 +282,10 @@ def _build_synthetic(config: ExperimentConfig):
     else:
         problem, consts = make_nonconvex(d, d, seed=config.seed,
                                          sigma_noise=sigma)
-        init = SolverState.zeros(problem, theta0=problem.theta0)
     header = dict(L=consts.L, mu_G=consts.mu_G, B=consts.B)
     if consts.mu_h is not None:
         header["mu_h"] = consts.mu_h
-    return problem, ResidualProbe(problem), init, header
+    return problem, header
 
 
 def _build_tdc(config: ExperimentConfig):
@@ -298,16 +296,13 @@ def _build_tdc(config: ExperimentConfig):
     instance = tdc_mod.generate_instance(S, A, d, gamma, seed=config.seed)
     problem = (tdc_mod.Td0Problem(instance) if config.algo == "td0"
                else tdc_mod.TdcProblem(instance))
-    return (problem, tdc_mod.mspbe_probe(problem), None,
-            dict(states=S, actions=A, dim=d, gamma=gamma))
+    return problem, dict(states=S, actions=A, dim=d, gamma=gamma)
 
 
 def _build_lqr(config: ExperimentConfig):
     sigma = config.sigma if config.sigma is not None else 0.5
     system = lqr_mod.paper_lqr_3x2(psi_scale=0.25, sigma=sigma)
-    problem = lqr_mod.LqrProblem(system)
-    return (problem, lqr_mod.gap_probe(problem),
-            SolverState.zeros(problem, theta0=problem.theta0),
+    return (lqr_mod.LqrProblem(system),
             dict(system="paper-lqr-3x2", psi_scale=0.25, sigma=sigma))
 
 
@@ -319,9 +314,8 @@ def _build_regmdp(config: ExperimentConfig):
     mdp = regmdp_mod.make_regmdp(S, A, gamma=gamma, tau_ent=tau_ent,
                                  seed=config.seed)
     problem = regmdp_mod.RegMdpProblem(mdp)
-    return (problem, ResidualProbe(problem), None,
-            dict(states=S, actions=A, gamma=gamma, tau_ent=tau_ent,
-                 J_star=problem.J_star))
+    return problem, dict(states=S, actions=A, gamma=gamma, tau_ent=tau_ent,
+                         J_star=problem.J_star)
 
 
 class Preset(NamedTuple):
@@ -386,16 +380,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedule = (parse_schedule_spec(config.schedule)
                 if config.schedule is not None
                 else default_schedule(config.experiment, config.algo))
-    problem, probe, init, header_extra = PRESETS[config.experiment].build(
-        config)
+    problem, problem_header = PRESETS[config.experiment].build(config)
     algo = "standard" if config.algo == "td0" else config.algo
     traces = run(problem, algo, schedule, config.iters,
-                 seed=(config.seed, 1, 0), probe=probe,
-                 stride=config.stride, init_state=init, runs=config.runs)
+                 seed=(config.seed, 1, 0), probe=ResidualProbe(problem),
+                 stride=config.stride, runs=config.runs)
     series = aggregate(traces)
     rate = _fit_rate(config, series)
     return ExperimentResult(config=config, series=series, schedule=schedule,
-                            rate=rate, header_extra=header_extra)
+                            rate=rate, problem_header=problem_header)
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def render_csv(result: ExperimentResult) -> str:
     params = " ".join(f"{k}={_format_value(float(v))}"
                       for k, v in sorted(sched.params.items()))
     buf.write(f"# schedule kind={sched.kind} {params}".rstrip() + "\n")
-    for k, v in sorted(result.header_extra.items()):
+    for k, v in sorted(result.problem_header.items()):
         buf.write(f"# problem {k}={_format_value(v)}\n")
     buf.write(f"# flagged_runs={series.n_flagged} of {series.n_runs}\n")
     if result.rate is not None:

@@ -38,8 +38,8 @@ import numpy as np
 import scipy.linalg
 
 from .numerics import SeededRng, stability_test
-from .solver import (ResidualProbe, SolverState, StepSchedule, Trace,
-                     TwoTimeScaleProblem, run)
+from .solver import (ResidualProbe, StepSchedule, Trace, TwoTimeScaleProblem,
+                     run)
 
 __all__ = [
     "LqrProblem",
@@ -48,7 +48,6 @@ __all__ = [
     "cost_J",
     "dare_solve",
     "env_step",
-    "gap_probe",
     "goperator_residual",
     "lyapunov_solve",
     "natural_gradient_exact",
@@ -271,9 +270,8 @@ class LqrProblem(TwoTimeScaleProblem):
     F = Omega_uu K - Omega_ux and G = [J_hat - c_k, td * (v v').ravel()],
     with v = [x_k; u_k] and td the temporal-difference residual of the
     joint equation between v and the next pair w = [x_{k+1}; u_{k+1}].
+    Runs start at theta0 = K0.ravel().
     """
-
-    exact = None
 
     def __init__(self, system: LqrSystem, K0=None):
         self.system = system
@@ -303,18 +301,14 @@ class LqrProblem(TwoTimeScaleProblem):
         G = np.concatenate([[J_hat - c_k], (np.outer(v, v) * td).ravel()])
         return F.ravel(), G, (x_new, (x, u_new, c_new))
 
-
-def gap_probe(problem: LqrProblem) -> ResidualProbe:
-    """Probe recording `gap` = J(K) - J(K_star), `y` = squared critic
-    error against (J(K), svec(Omega_K)), and `stabilizing`, all from one
-    P_K per row. A non-stabilizing gain reads NaN, which flags the run;
-    so `stabilizing` is 1.0 on every recorded row."""
-    system = problem.system
-    shape, n = (system.d2, system.d1), system.d1 + system.d2
-
-    def ground_truth(theta, omega):
+    def extra_metrics(self, theta, omega):
+        """`gap` = J(K) - J(K_star), `y` = squared critic error against
+        (J(K), svec(Omega_K)), and `stabilizing`, all from one P_K. A
+        non-stabilizing gain reads NaN, which flags the run; so
+        `stabilizing` is 1.0 on every recorded row."""
+        system, n = self.system, self._n
         try:
-            J_K, Om = _cost_and_omega(system, theta.reshape(shape))
+            J_K, Om = _cost_and_omega(system, theta.reshape(self.K0.shape))
         except UnstableSystemError:
             return {"gap": math.nan, "y": math.nan, "stabilizing": 0.0}
         crit = np.concatenate([[omega[0] - J_K],
@@ -322,18 +316,16 @@ def gap_probe(problem: LqrProblem) -> ResidualProbe:
         return {"gap": J_K - system.J_star, "y": float(crit @ crit),
                 "stabilizing": 1.0}
 
-    return ResidualProbe(problem, extra=ground_truth)
-
 
 def run_lqr(system: LqrSystem, algo: str, schedule: StepSchedule,
             n_iters: int, seed, stride: int = 1, K0=None) -> Trace:
     """Run one actor-critic replica from gain K0 (default zero) and
-    record `gap_probe` metrics every `stride` steps. No projection is
-    applied: a non-stabilizing gain flags and truncates the trace."""
+    record the problem's `extra_metrics` every `stride` steps. No
+    projection is applied: a non-stabilizing gain flags and truncates
+    the trace."""
     problem = LqrProblem(system, K0)
     return run(problem, algo, schedule, n_iters, seed=seed,
-               probe=gap_probe(problem), stride=stride,
-               init_state=SolverState.zeros(problem, theta0=problem.theta0))
+               probe=ResidualProbe(problem), stride=stride)
 
 
 def goperator_residual(system: LqrSystem, K, n_samples: int,

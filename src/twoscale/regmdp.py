@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .numerics import ConvergenceError, SeededRng, inverse_cdf, linear_solve
-from .solver import ExactAccessors, TwoTimeScaleProblem
+from .solver import TwoTimeScaleProblem
 
 __all__ = [
     "RegMdp",
@@ -244,7 +244,7 @@ def soft_optimal(regmdp: RegMdp, tol: float = 1e-12, max_iters: int = 1000000):
 
 class RegMdpProblem(TwoTimeScaleProblem):
     """Adapter: theta is the flattened logit table, omega the value
-    vector. One oracle call = one geometric rollout."""
+    vector. One oracle call = one geometric rollout; h = -J."""
 
     def __init__(self, regmdp: RegMdp):
         self.regmdp = regmdp
@@ -254,15 +254,21 @@ class RegMdpProblem(TwoTimeScaleProblem):
         self.dim_omega = S
         self._cum_rho0 = np.cumsum(regmdp.rho0)
         self._cum_P = np.cumsum(regmdp.P, axis=2)
-        self.J_star = J_star = soft_optimal(regmdp)[2]
-        self.exact = ExactAccessors(
-            omega_star=lambda th: exact_value(regmdp, softmax_policy(th.reshape(S, A))),
-            theta_star=None,
-            h=lambda th: -exact_J(regmdp, th.reshape(S, A)),
-            h_star=-J_star,
-            mean_f=lambda th, om: mean_F(regmdp, th.reshape(S, A), om).ravel(),
-            mean_g=lambda th, om: mean_G(regmdp, th.reshape(S, A), om),
-        )
+        self.J_star = soft_optimal(regmdp)[2]
+        self.h_star = -self.J_star
+
+    def omega_star(self, theta):
+        return exact_value(self.regmdp,
+                           softmax_policy(theta.reshape(self._shape)))
+
+    def h(self, theta):
+        return -exact_J(self.regmdp, theta.reshape(self._shape))
+
+    def mean_f(self, theta, omega):
+        return mean_F(self.regmdp, theta.reshape(self._shape), omega).ravel()
+
+    def mean_g(self, theta, omega):
+        return mean_G(self.regmdp, theta.reshape(self._shape), omega)
 
     def sample(self, theta_flat, omega, env, rng: SeededRng):
         regmdp = self.regmdp

@@ -35,7 +35,6 @@ from .numerics import SeededRng
 
 __all__ = [
     "ConfigurationError",
-    "ExactAccessors",
     "RateFit",
     "ResidualProbe",
     "SolverState",
@@ -54,30 +53,11 @@ class ConfigurationError(ValueError):
     """Invalid algorithm configuration (step sizes, iteration counts)."""
 
 
-@dataclass
-class ExactAccessors:
-    """Optional ground-truth handles a problem may expose for metrics.
-
-    mean_f / mean_g are the deterministic expectations of the sampled
-    operators; without both, probes record no tracking residuals.
-    Without grad_h, probes take grad h(theta) = mean_f(theta,
-    omega_star(theta)), reusing the omega_star that `y` evaluates.
-    """
-
-    grad_h: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    omega_star: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    theta_star: Optional[np.ndarray] = None
-    h: Optional[Callable[[np.ndarray], float]] = None
-    h_star: Optional[float] = None
-    mean_f: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    mean_g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-
 class TwoTimeScaleProblem:
     """Joint stochastic oracle over decision and auxiliary variables.
 
-    Subclasses set `dim_theta`, `dim_omega`, optionally `exact`, and
-    implement `sample(theta, omega, env, rng) -> (F, G, env)`. One call
+    Subclasses set `dim_theta`, `dim_omega` and implement
+    `sample(theta, omega, env, rng) -> (F, G, env)`. One call
     corresponds to one draw of the underlying randomness, used for BOTH
     returned operator values. `env` is the Markov state an oracle
     carries from one sample to the next; `init_env(rng)` draws the
@@ -89,11 +69,19 @@ class TwoTimeScaleProblem:
     `sample` row by row. An oracle may instead split a sample into a
     per-replica `draw`, which takes the randomness of several samples
     in one block, and an `apply` vectorized across replicas.
+
+    `run` and `ResidualProbe` read what a problem knows of itself from
+    these attributes, each None where it does not: the start `theta0`
+    (None: zeros), `theta_star`, `h(theta)` and `h_star`,
+    `omega_star(theta)`, `grad_h(theta)`, the means `mean_f(theta,
+    omega)` and `mean_g(theta, omega)` of the sampled operators, and
+    `extra_metrics(theta, omega)`, a dict of further metrics.
     """
 
     dim_theta: int
     dim_omega: int
-    exact: Optional[ExactAccessors] = None
+    theta0 = theta_star = h = h_star = omega_star = grad_h = None
+    mean_f = mean_g = extra_metrics = None
 
     def init_env(self, rng: SeededRng):
         return None
@@ -132,7 +120,9 @@ class SolverState:
 
     @classmethod
     def zeros(cls, problem: TwoTimeScaleProblem, theta0=None, omega0=None):
+        """Zero averages at theta0 (by default the problem's) and omega0."""
         d, r = problem.dim_theta, problem.dim_omega
+        theta0 = problem.theta0 if theta0 is None else theta0
         theta = np.zeros(d) if theta0 is None else np.asarray(theta0, float).copy()
         omega = np.zeros(r) if omega0 is None else np.asarray(omega0, float).copy()
         return cls(0, theta, omega, np.zeros(d), np.zeros(r))
@@ -180,10 +170,10 @@ def make_polynomial_schedule(c_lambda: float, c_alpha: float, c_beta: float,
                              tau: float) -> StepSchedule:
     """lambda_k = c_lambda/(k+tau+1), likewise alpha and beta."""
     for name, v in (("c_lambda", c_lambda), ("c_alpha", c_alpha), ("c_beta", c_beta)):
-        if not v > 0.0:
-            raise ConfigurationError(f"{name} must be positive, got {v!r}")
-    if not tau >= 1.0:
-        raise ConfigurationError(f"tau must be >= 1, got {tau!r}")
+        if not 0.0 < v < math.inf:
+            raise ConfigurationError(f"{name} must be finite and positive, got {v!r}")
+    if not 1.0 <= tau < math.inf:
+        raise ConfigurationError(f"tau must be finite and >= 1, got {tau!r}")
     params = {"c_lambda": float(c_lambda), "c_alpha": float(c_alpha),
               "c_beta": float(c_beta), "tau": float(tau)}
     return StepSchedule(kind="polynomial", params=params, tau=float(tau))
@@ -191,9 +181,9 @@ def make_polynomial_schedule(c_lambda: float, c_alpha: float, c_beta: float,
 
 def make_sqrt_schedule(alpha0: float, beta0: float) -> StepSchedule:
     """1/sqrt(k+1) decay with the averaging coefficient fixed at 1/4."""
-    if not 0.0 < alpha0 <= beta0:
-        raise ConfigurationError(
-            f"need 0 < alpha0 <= beta0, got alpha0={alpha0!r} beta0={beta0!r}")
+    if not 0.0 < alpha0 <= beta0 < math.inf:
+        raise ConfigurationError(f"need 0 < alpha0 <= beta0 < inf, "
+                                 f"got alpha0={alpha0!r} beta0={beta0!r}")
     params = {"alpha0": float(alpha0), "beta0": float(beta0)}
     return StepSchedule(kind="sqrt", params=params)
 
@@ -225,51 +215,51 @@ class ResidualProbe:
     y = ||omega - omega*(theta)||^2, z = ||theta - theta*||^2,
     x = h(theta) - h*, V = ||delta_f||^2 + ||delta_g||^2 + (z or x) + y.
 
-    Mean operators come from the problem's deterministic mean oracle;
-    without one, the residuals (and V) are not recorded.
-
-    `extra(theta, omega)` returns a dict of further metrics from one
-    evaluation; they are recorded after the residual metrics. `compute`
-    alone names the metrics: a run's columns are the keys of its first
-    row.
+    Each metric needs the problem's ground truth for it: without both
+    mean operators, the residuals (and V) are not recorded; without
+    `grad_h`, grad h(theta) = mean_f(theta, omega_star(theta)), reusing
+    the omega_star that `y` evaluates. The problem's `extra_metrics`
+    are recorded after these. `compute` alone names the metrics: a
+    run's columns are the keys of its first row.
     """
 
-    def __init__(self, problem: TwoTimeScaleProblem, extra=None):
-        self.extra = extra
-        ex = problem.exact
-        if ex is None:
-            ex = ExactAccessors()
-        self._ex = ex
-        self._has_residuals = ex.mean_f is not None and ex.mean_g is not None
-        self._has_grad = ex.grad_h is not None or (
-            ex.omega_star is not None and ex.mean_f is not None)
+    def __init__(self, problem: TwoTimeScaleProblem):
+        # read once here, so that a record looks up no more than it uses
+        p = problem
+        self._theta_star, self._omega_star = p.theta_star, p.omega_star
+        self._h = p.h if p.h_star is not None else None
+        self._h_star, self._grad_h = p.h_star, p.grad_h
+        self._mean_f, self._mean_g = p.mean_f, p.mean_g
+        self._extra = p.extra_metrics
+        self._has_residuals = p.mean_f is not None and p.mean_g is not None
+        self._has_grad = p.grad_h is not None or (
+            p.omega_star is not None and p.mean_f is not None)
 
     def compute(self, theta, omega, f=None, g=None) -> dict:
-        ex = self._ex
         out = {}
-        if ex.theta_star is not None:
-            d = theta - ex.theta_star
+        if self._theta_star is not None:
+            d = theta - self._theta_star
             out["z"] = float(d @ d)
-        if ex.h is not None and ex.h_star is not None:
-            out["x"] = float(ex.h(theta) - ex.h_star)
-        if ex.omega_star is not None:
-            omega_star = ex.omega_star(theta)
+        if self._h is not None:
+            out["x"] = float(self._h(theta) - self._h_star)
+        if self._omega_star is not None:
+            omega_star = self._omega_star(theta)
             d = omega - omega_star
             out["y"] = float(d @ d)
         if self._has_grad:
-            grad = (ex.grad_h(theta) if ex.grad_h is not None
-                    else ex.mean_f(theta, omega_star))
+            grad = (self._grad_h(theta) if self._grad_h is not None
+                    else self._mean_f(theta, omega_star))
             out["grad_norm_sq"] = float(grad @ grad)
         if f is not None and g is not None and self._has_residuals:
-            df = f - ex.mean_f(theta, omega)
-            dg = g - ex.mean_g(theta, omega)
+            df = f - self._mean_f(theta, omega)
+            dg = g - self._mean_g(theta, omega)
             out["delta_f_sq"] = float(df @ df)
             out["delta_g_sq"] = float(dg @ dg)
             if "y" in out and ("z" in out or "x" in out):
                 out["V"] = (out["delta_f_sq"] + out["delta_g_sq"]
                             + out.get("z", out.get("x")) + out["y"])
-        if self.extra is not None:
-            for name, v in self.extra(theta, omega).items():
+        if self._extra is not None:
+            for name, v in self._extra(theta, omega).items():
                 out[name] = float(v)
         return out
 

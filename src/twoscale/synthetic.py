@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import StructuralConstants
 from .numerics import SeededRng
-from .solver import ExactAccessors, TwoTimeScaleProblem
+from .solver import TwoTimeScaleProblem
 
 __all__ = [
     "NonconvexProblem",
@@ -41,8 +41,11 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
     stacked matmul makes one gemv per column, bitwise equal to the
     vector product M @ x (X @ M.T goes through gemm, which sums in
     another order). grad h in that form is `_grad`, by default the
-    quadratic-bowl gradient _hess (theta - theta_bar).
+    quadratic-bowl gradient _hess (theta - theta_bar). Every regime has
+    h* = 0.
     """
+
+    h_star = 0.0
 
     def __init__(self, W, b, C, D, sigma_noise):
         self.W = np.asarray(W, float)
@@ -96,24 +99,15 @@ class _CoupledGaussianProblem(TwoTimeScaleProblem):
         if noise is not None:
             S += noise
 
-    def _shared_norms(self):
-        return (
-            _spectral_norm(self.D),
-            _spectral_norm(self.C @ self.W),
-            _spectral_norm(self.C),
-            _spectral_norm(self.W),
-        )
-
-    def _attach_accessors(self, theta_star=None):
-        self.exact = ExactAccessors(
-            grad_h=self.grad_h,
-            omega_star=self.omega_star,
-            theta_star=theta_star,
-            h=self.h,
-            h_star=0.0,
-            mean_f=self.mean_f,
-            mean_g=self.mean_g,
-        )
+    def _constants(self, upper_norms, mu_h) -> StructuralConstants:
+        """L = the largest of 1, the upper level's norms and the shared
+        lower level's; mu_G and B are the lower level's and the noise's."""
+        L = max(1.0, *upper_norms, _spectral_norm(self.D),
+                _spectral_norm(self.C @ self.W), _spectral_norm(self.C),
+                _spectral_norm(self.W))
+        mu_G = float(np.linalg.eigvalsh(0.5 * (self.C + self.C.T)).min())
+        B = self.sigma_noise**2 * max(self.dim_theta, self.dim_omega)
+        return StructuralConstants(L=L, mu_G=mu_G, mu_h=mu_h, B=B)
 
 
 class QuadraticProblem(_CoupledGaussianProblem):
@@ -124,7 +118,7 @@ class QuadraticProblem(_CoupledGaussianProblem):
         self.Q_h = np.asarray(Q_h, float)
         self.theta_bar = np.asarray(theta_bar, float)
         self._hess, self._bar = self.Q_h, self.theta_bar[:, None]
-        self._attach_accessors(theta_star=self.theta_bar.copy())
+        self.theta_star = self.theta_bar.copy()
 
     def h(self, theta):
         d = theta - self.theta_bar
@@ -133,11 +127,8 @@ class QuadraticProblem(_CoupledGaussianProblem):
     def structural_constants(self) -> StructuralConstants:
         nQ = _spectral_norm(self.Q_h)
         nFth = _spectral_norm(self.Q_h - self.D @ self.W)
-        L = max(1.0, nQ, nFth, *self._shared_norms())
-        mu_G = float(np.linalg.eigvalsh(0.5 * (self.C + self.C.T)).min())
         mu_h = float(np.linalg.eigvalsh(0.5 * (self.Q_h + self.Q_h.T)).min())
-        B = self.sigma_noise**2 * max(self.dim_theta, self.dim_omega)
-        return StructuralConstants(L=L, mu_G=mu_G, mu_h=mu_h, B=B)
+        return self._constants((nQ, nFth), mu_h)
 
 
 class PlProblem(_CoupledGaussianProblem):
@@ -154,7 +145,6 @@ class PlProblem(_CoupledGaussianProblem):
         self.theta_bar = np.asarray(theta_bar, float)
         self.H = self.A_ls.T @ self.A_ls
         self._hess, self._bar = self.H, self.theta_bar[:, None]
-        self._attach_accessors(theta_star=None)
 
     def h(self, theta):
         v = self.A_ls @ (theta - self.theta_bar)
@@ -163,27 +153,23 @@ class PlProblem(_CoupledGaussianProblem):
     def structural_constants(self) -> StructuralConstants:
         nH = _spectral_norm(self.H)
         nFth = _spectral_norm(self.H - self.D @ self.W)
-        L = max(1.0, nH, nFth, *self._shared_norms())
         eigs = np.linalg.eigvalsh(self.H)
         mu_h = float(eigs[eigs > 1e-9 * max(1.0, eigs.max())].min())
-        mu_G = float(np.linalg.eigvalsh(0.5 * (self.C + self.C.T)).min())
-        B = self.sigma_noise**2 * max(self.dim_theta, self.dim_omega)
-        return StructuralConstants(L=L, mu_G=mu_G, mu_h=mu_h, B=B)
+        return self._constants((nH, nFth), mu_h)
 
 
 class NonconvexProblem(_CoupledGaussianProblem):
     """Nonconvex upper level h = sum_i (1 - cos theta_i).
 
     grad h = sin(theta) is 1-Lipschitz; stationary points sit at
-    integer multiples of pi. `theta0` holds a starting point away from
-    stationarity, with entries in (0, pi).
+    integer multiples of pi. `theta0`, where runs start, is a point away
+    from stationarity, with entries in (0, pi).
     """
 
     def __init__(self, d, W, b, C, D, sigma_noise, theta0):
         super().__init__(W, b, C, D, sigma_noise)
         assert self.dim_theta == d
         self.theta0 = np.asarray(theta0, float)
-        self._attach_accessors(theta_star=None)
 
     def h(self, theta):
         return float(np.sum(1.0 - np.cos(theta)))
@@ -192,12 +178,8 @@ class NonconvexProblem(_CoupledGaussianProblem):
         return np.sin(theta)
 
     def structural_constants(self) -> StructuralConstants:
-        nD, nCW, nC, nW = self._shared_norms()
         # theta-Jacobian of mean F is diag(cos theta) - D W, bounded by 1 + ||D W||
-        L = max(1.0, 1.0 + _spectral_norm(self.D @ self.W), nD, nCW, nC, nW)
-        mu_G = float(np.linalg.eigvalsh(0.5 * (self.C + self.C.T)).min())
-        B = self.sigma_noise**2 * max(self.dim_theta, self.dim_omega)
-        return StructuralConstants(L=L, mu_G=mu_G, mu_h=None, B=B)
+        return self._constants((1.0 + _spectral_norm(self.D @ self.W),), None)
 
 
 def _scaled_to(M, target_norm):

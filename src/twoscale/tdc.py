@@ -22,8 +22,8 @@ import numpy as np
 
 from .numerics import (SeededRng, SingularMatrixError, inverse_cdf,
                        linear_solve)
-from .solver import (ExactAccessors, ResidualProbe, StepSchedule, Trace,
-                     TwoTimeScaleProblem, run)
+from .solver import (ResidualProbe, StepSchedule, Trace, TwoTimeScaleProblem,
+                     run)
 
 __all__ = [
     "LinearFeatures",
@@ -37,7 +37,6 @@ __all__ = [
     "exact_omega_star",
     "generate_instance",
     "load_instance",
-    "mspbe_probe",
     "run_td0",
     "sample_transition",
     "sample_transitions",
@@ -210,6 +209,9 @@ def generate_instance(n_states: int, n_actions: int, d: int, gamma: float,
     behavior policy is uniform. The per-state reward is reverse
     engineered so Phi theta_star solves the target Bellman equation.
     """
+    for key, n in (("states", n_states), ("actions", n_actions), ("dim", d)):
+        if n < 1:
+            raise ValueError(f"{key} must be >= 1")
     if d > n_states:
         raise ValueError("need d <= n_states")
     rng = SeededRng(seed)
@@ -317,22 +319,36 @@ def exact_mspbe(instance: TdcInstance, theta, weighting: str = "behavior") -> fl
     return float(resid @ (inv @ resid))
 
 
-class TdcProblem(TwoTimeScaleProblem):
-    """Adapter exposing a TdcInstance through the solver interface."""
+class _MspbeProblem(TwoTimeScaleProblem):
+    """Ground truth of TdcProblem and Td0Problem: h is the projected
+    Bellman error under the behavior weighting, and the extra metric
+    `mspbe_pi` that under the target policy's stationary weighting."""
+
+    h_star = 0.0
 
     def __init__(self, instance: TdcInstance):
         self.instance = instance
-        d = instance.features.Phi.shape[1]
-        self.dim_theta = d
-        self.dim_omega = d
-        self.exact = ExactAccessors(
-            omega_star=lambda th: exact_omega_star(instance, th),
-            theta_star=instance.theta_star.copy(),
-            h=lambda th: exact_mspbe(instance, th),
-            h_star=0.0,
-            mean_f=instance.mean_f,
-            mean_g=instance.mean_g,
-        )
+        self.dim_theta = instance.features.Phi.shape[1]
+        self.theta_star = instance.theta_star.copy()
+
+    def h(self, theta):
+        return exact_mspbe(self.instance, theta)
+
+    def extra_metrics(self, theta, omega):
+        return {"mspbe_pi": exact_mspbe(self.instance, theta,
+                                        weighting="target")}
+
+
+class TdcProblem(_MspbeProblem):
+    """Adapter exposing a TdcInstance through the solver interface."""
+
+    def __init__(self, instance: TdcInstance):
+        super().__init__(instance)
+        self.dim_omega = self.dim_theta
+        self.mean_f, self.mean_g = instance.mean_f, instance.mean_g
+
+    def omega_star(self, theta):
+        return exact_omega_star(self.instance, theta)
 
     def sample(self, theta, omega, env, rng: SeededRng):
         F, G = tdc_sample(self.instance, theta, omega,
@@ -340,37 +356,16 @@ class TdcProblem(TwoTimeScaleProblem):
         return F, G, None
 
 
-class Td0Problem(TwoTimeScaleProblem):
+class Td0Problem(_MspbeProblem):
     """Importance-weighted TD(0): one variable, no auxiliary (dim_omega
     = 0). Under `standard`, theta moves along the raw td0_sample."""
 
     dim_omega = 0
 
-    def __init__(self, instance: TdcInstance):
-        self.instance = instance
-        self.dim_theta = instance.features.Phi.shape[1]
-        self.exact = ExactAccessors(
-            theta_star=instance.theta_star.copy(),
-            h=lambda th: exact_mspbe(instance, th),
-            h_star=0.0,
-        )
-
     def sample(self, theta, omega, env, rng: SeededRng):
         # the empty omega doubles as the empty auxiliary operator
         return td0_sample(self.instance, theta,
                           sample_transition(self.instance, rng)), omega, None
-
-
-def mspbe_probe(problem) -> ResidualProbe:
-    """Residual probe of a TdcProblem or Td0Problem that also records
-    `mspbe_pi`, the projected Bellman error under the target policy's
-    stationary weighting."""
-    instance = problem.instance
-
-    def target_mspbe(theta, omega):
-        return {"mspbe_pi": exact_mspbe(instance, theta, weighting="target")}
-
-    return ResidualProbe(problem, extra=target_mspbe)
 
 
 def run_td0(instance: TdcInstance, schedule: StepSchedule, n_iters: int,
@@ -379,7 +374,7 @@ def run_td0(instance: TdcInstance, schedule: StepSchedule, n_iters: int,
     projected Bellman errors at every stride."""
     problem = Td0Problem(instance)
     return run(problem, "standard", schedule, n_iters, seed=seed,
-               probe=mspbe_probe(problem), stride=stride)
+               probe=ResidualProbe(problem), stride=stride)
 
 
 # --- flat text serialization ------------------------------------------------

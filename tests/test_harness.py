@@ -1,7 +1,9 @@
 import hashlib
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -18,7 +20,8 @@ from twoscale.harness import (KEY_TYPES, PRESETS, AggregateSeries,
                               parse_schedule_spec, read_csv, render_csv,
                               run_experiment, write_csv)
 from twoscale.numerics import ConvergenceError
-from twoscale.solver import DRAW_BLOCK, Trace, run
+from twoscale.solver import (DRAW_BLOCK, ConfigurationError, ResidualProbe,
+                             Trace, make_polynomial_schedule, run)
 
 
 def small_config(**overrides):
@@ -234,6 +237,57 @@ def test_schedule_spec_poly_and_sqrt():
         parse_schedule_spec("mystery:1")
 
 
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(("poly", "sqrt")),
+       consts=st.lists(_POSITIVE, min_size=4, max_size=4),
+       tau=st.floats(min_value=1.0, allow_infinity=False))
+def test_schedule_spec_tabulates_to_its_closed_form_bitwise(kind, consts, tau):
+    if kind == "poly":
+        c_lambda, c_alpha, c_beta = consts[:3]
+        params = {"c_lambda": c_lambda, "c_alpha": c_alpha, "c_beta": c_beta,
+                  "tau": tau}
+
+        def closed_form(k):
+            den = k + tau + 1.0
+            return c_lambda / den, c_alpha / den, c_beta / den
+    else:
+        alpha0, beta0 = sorted(consts[:2])
+        params = {"alpha0": alpha0, "beta0": beta0}
+
+        def closed_form(k):
+            rt = math.sqrt(k + 1.0)
+            return 0.25 / rt, alpha0 / rt, beta0 / rt
+    schedule = parse_schedule_spec(
+        f"{kind}:" + ",".join(repr(v) for v in params.values()))
+    assert schedule.params == params
+    expected = np.array([closed_form(k) for k in range(300)]).T
+    for got, want in zip(schedule.tabulate(300), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+_BAD_CONSTANT = st.sampled_from(
+    ("inf", "-inf", "nan", "0", "-0.0", "1e", "abc", "")) | st.floats(
+        max_value=0.0, allow_infinity=False).map(repr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(("poly", "sqrt")),
+       consts=st.lists(st.floats(1.0, 1e6), min_size=4, max_size=4),
+       bad=_BAD_CONSTANT, data=st.data())
+def test_schedule_spec_with_a_bad_constant_is_rejected(kind, consts, bad,
+                                                        data):
+    # valid constants (tau >= 1, alpha0 <= beta0), then one made bad
+    vals = [repr(v) for v in (consts if kind == "poly" else sorted(consts[:2]))]
+    vals[data.draw(st.integers(0, len(vals) - 1))] = bad
+    with pytest.raises((UsageError, ConfigurationError)):
+        parse_schedule_spec(f"{kind}:" + ",".join(vals))
+    with pytest.raises(UsageError):     # one constant too many
+        parse_schedule_spec(f"{kind}:" + ",".join(vals + ["1"]))
+
+
 # --- aggregation -------------------------------------------------------------------
 
 def _toy_trace(values, flagged=False):
@@ -324,6 +378,36 @@ def test_csv_round_trip(tmp_path):
     assert any("flagged_runs=0" in line for line in header)
 
 
+_METRIC_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ks=st.lists(st.integers(0, 10**12), min_size=1, max_size=25,
+                   unique=True).map(sorted),
+       names=st.lists(_METRIC_NAME, min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_csv_round_trip_is_bitwise_for_any_series(ks, names, data):
+    # finite floats from subnormal to huge, of either sign
+    column = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=len(ks), max_size=len(ks)).map(np.array)
+    means = {name: data.draw(column) for name in names}
+    stderrs = {name: data.draw(column) for name in names}
+    series = AggregateSeries(ks=np.array(ks, np.int64), means=means,
+                             stderrs=stderrs, n_runs=2, n_flagged=0)
+    from twoscale.harness import ExperimentResult
+    result = ExperimentResult(
+        config=small_config(), series=series,
+        schedule=make_polynomial_schedule(1, 1, 1, 1), rate=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write_csv(result, path)
+        got_ks, cols, _ = read_csv(path)
+    assert got_ks.dtype == np.int64 and got_ks.tolist() == ks
+    for name in names:
+        assert cols[f"{name}_mean"].tobytes() == means[name].tobytes()
+        assert cols[f"{name}_stderr"].tobytes() == stderrs[name].tobytes()
+
+
 def test_empty_series_header_only(tmp_path):
     cfg = small_config()
     series = AggregateSeries(ks=np.array([], np.int64), means={}, stderrs={},
@@ -404,18 +488,18 @@ def test_replica_trace_does_not_depend_on_its_batch(experiment, algo):
     # 300 iterations cross the first draw block's end at 256
     cfg = ExperimentConfig(experiment=experiment, algo=algo, iters=300,
                            runs=1, seed=5, stride=7)
-    problem, probe, init, _ = harness.PRESETS[experiment].build(cfg)
+    problem, _ = harness.PRESETS[experiment].build(cfg)
+    probe = ResidualProbe(problem)
     schedule = default_schedule(experiment, algo)
     solver_algo = "standard" if algo == "td0" else algo
 
     def batch(first, runs):
         return run(problem, solver_algo, schedule, cfg.iters,
                    seed=(cfg.seed, 1, first), probe=probe, stride=cfg.stride,
-                   init_state=init, runs=runs)
+                   runs=runs)
 
     alone = run(problem, solver_algo, schedule, cfg.iters,
-                seed=(cfg.seed, 1, 2), probe=probe, stride=cfg.stride,
-                init_state=init)
+                seed=(cfg.seed, 1, 2), probe=probe, stride=cfg.stride)
     _same_trace(alone, batch(0, 4)[2])      # in a batch of 4, row 2
     _same_trace(alone, batch(1, 4)[1])      # another batch, row 1
     _same_trace(alone, batch(2, 1)[0])      # a batch of one
@@ -423,10 +507,11 @@ def test_replica_trace_does_not_depend_on_its_batch(experiment, algo):
 
 @lru_cache(maxsize=None)
 def _arm(experiment):
-    """(problem, probe, initial state) of an experiment at seed 5."""
+    """(problem, probe) of an experiment at seed 5."""
     cfg = ExperimentConfig(experiment=experiment, algo="fast", iters=1,
                            runs=1, seed=5, stride=1)
-    return harness.PRESETS[experiment].build(cfg)[:3]
+    problem, _ = harness.PRESETS[experiment].build(cfg)
+    return problem, ResidualProbe(problem)
 
 
 @settings(max_examples=30, deadline=None)
@@ -438,12 +523,12 @@ def _arm(experiment):
 def test_strided_trace_is_the_stride_one_trace_subsampled(
         experiment, algo, runs, n_iters, stride):
     # synthetic-sc draws its noise in blocks of DRAW_BLOCK, tdc row by row
-    problem, probe, init = _arm(experiment)
+    problem, probe = _arm(experiment)
     schedule = default_schedule(experiment, algo)
 
     def traces(s):
         return run(problem, algo, schedule, n_iters, seed=(5, 1, 0),
-                   probe=probe, stride=s, init_state=init, runs=runs)
+                   probe=probe, stride=s, runs=runs)
 
     for a, b in zip(traces(stride), traces(1)):
         assert not b.flagged
@@ -499,6 +584,30 @@ def test_cli_rejects_values_outside_their_domain(tmp_path, experiment, flag,
              "--out", str(out))
     assert r.returncode == 1
     assert r.stderr.startswith(f"error: {flag[2:]} must")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule", ["poly:40,16,16,inf", "sqrt:0.05,inf"])
+def test_cli_rejects_a_schedule_constant_that_is_not_finite(tmp_path,
+                                                            schedule):
+    out = tmp_path / "x.csv"
+    r = _cli("run", "synthetic-sc", "--algo", "standard", "--schedule",
+             schedule, "--iters", "10", "--runs", "1", "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "inf" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,key", [
+    (("--states", "5", "--actions", "0", "--dim", "3"), "actions"),
+    (("--states", "0", "--dim", "0"), "states"),
+    (("--dim", "0"), "dim"),
+])
+def test_cli_dump_instance_rejects_sizes_below_one(tmp_path, flags, key):
+    out = tmp_path / "inst.txt"
+    r = _cli("dump-instance", *flags, "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {key} must be >= 1\n"
     assert not out.exists()
 
 

@@ -7,12 +7,12 @@ import scipy.linalg
 import twoscale.lqr as lqr_mod
 
 from twoscale.lqr import (LqrProblem, LqrSystem, UnstableSystemError,
-                          cost_J, dare_solve, env_step, gap_probe,
+                          cost_J, dare_solve, env_step,
                           goperator_residual, lyapunov_solve,
                           natural_gradient_exact, omega_exact, paper_lqr_3x2,
                           phi_feature, run_lqr, sigma_K, svec)
 from twoscale.numerics import SeededRng, stability_test
-from twoscale.solver import (SolverState, custom_schedule,
+from twoscale.solver import (ResidualProbe, SolverState, custom_schedule,
                              make_polynomial_schedule, run)
 
 # Average cost of the zero gain on the benchmark system with identity
@@ -467,6 +467,19 @@ def test_run_lqr_flags_unstable_start():
     assert trace.ks.size == 0
 
 
+def test_run_starts_at_the_gain_of_the_problem():
+    # without init_state, run starts theta at K0, where run_lqr starts
+    system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
+    K0 = 0.5 * dare_solve(system)[1]
+    sched = make_polynomial_schedule(40.0, 8.0, 10.0, 400.0)
+    for algo in ("fast", "standard"):
+        want = run_lqr(system, algo, sched, 5, seed=3, K0=K0).final_state
+        got = run(LqrProblem(system, K0), algo, sched, 5, seed=3).final_state
+        for part in ("theta", "omega", "f", "g"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert np.abs(got.theta - K0.ravel()).max() < 0.1
+
+
 def test_standard_step_literal_form():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
     K = SeededRng(15).normal(6).reshape(2, 3) * 0.1
@@ -491,7 +504,7 @@ def test_standard_step_literal_form():
 
 def test_gap_probe_reads_nonfinite_for_unstable_gain():
     system = paper_lqr_3x2(psi_scale=0.25, sigma=0.5)
-    probe = gap_probe(LqrProblem(system))
+    probe = ResidualProbe(LqrProblem(system))
     vals = probe.compute(np.full(6, -5.0), np.zeros(26))
     assert list(vals) == ["gap", "y", "stabilizing"]
     assert math.isnan(vals["gap"]) and math.isnan(vals["y"])

@@ -20,7 +20,6 @@ class CountingProblem(TwoTimeScaleProblem):
         self.inner = inner
         self.dim_theta = inner.dim_theta
         self.dim_omega = inner.dim_omega
-        self.exact = inner.exact
         self.calls = 0
 
     def sample(self, theta, omega, env, rng):
@@ -30,8 +29,6 @@ class CountingProblem(TwoTimeScaleProblem):
 
 class ConstantProblem(TwoTimeScaleProblem):
     """Oracle drawing nothing and returning the same (F, G) every time."""
-
-    exact = None
 
     def __init__(self, F, G):
         self.F, self.G = np.asarray(F, float), np.asarray(G, float)
@@ -321,7 +318,6 @@ class ExplodingProblem(TwoTimeScaleProblem):
     def __init__(self, blow_at):
         self.blow_at = blow_at
         self.calls = 0
-        self.exact = None
 
     def sample(self, theta, omega, env, rng):
         self.calls += 1
@@ -358,14 +354,11 @@ def test_probe_gradient_from_mean_operator_shares_omega_star():
         dim_omega = 5
 
         def __init__(self):
-            from twoscale.solver import ExactAccessors
+            self.mean_f, self.mean_g = inner.mean_f, inner.mean_g
 
-            def omega_star(theta):
-                calls.append(1)
-                return inner.omega_star(theta)
-            self.exact = ExactAccessors(omega_star=omega_star,
-                                        mean_f=inner.mean_f,
-                                        mean_g=inner.mean_g)
+        def omega_star(self, theta):
+            calls.append(1)
+            return inner.omega_star(theta)
 
     probe = ResidualProbe(NoGrad())
     theta = np.linspace(-1.0, 1.0, 5)
@@ -381,23 +374,24 @@ def test_probe_gradient_from_mean_operator_shares_omega_star():
 def test_record_tests_each_metric_value_for_finiteness():
     # two finite values whose sum overflows must not flag the run
     problem = ConstantProblem(np.zeros(2), np.zeros(2))
-    probe = ResidualProbe(problem,
-                          extra=lambda th, om: {"a": 1e308, "b": 1e308})
+    problem.extra_metrics = lambda th, om: {"a": 1e308, "b": 1e308}
+    probe = ResidualProbe(problem)
     sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
     trace = run(problem, "fast", sched, 10, seed=0, probe=probe, stride=5)
     assert not trace.flagged
     assert list(trace.ks) == [0, 5, 10]
     assert np.all(trace.metrics["a"] == 1e308)
     # one non-finite value among finite ones does flag it, at k = 0
-    probe = ResidualProbe(problem,
-                          extra=lambda th, om: {"a": 1.0, "b": np.nan})
+    problem.extra_metrics = lambda th, om: {"a": 1.0, "b": np.nan}
+    probe = ResidualProbe(problem)
     trace = run(problem, "fast", sched, 10, seed=0, probe=probe, stride=5)
     assert trace.flagged and trace.abort_k == 0 and trace.ks.size == 0
 
 
 def test_residual_columns_only_when_the_probe_can_compute_them():
     problem = ConstantProblem(np.zeros(2), np.zeros(2))
-    probe = ResidualProbe(problem, extra=lambda th, om: {"m": 1.0})
+    problem.extra_metrics = lambda th, om: {"m": 1.0}
+    probe = ResidualProbe(problem)
     sched = make_polynomial_schedule(1.0, 1.0, 1.0, 3.0)
     assert list(run(problem, "fast", sched, 3, seed=0,
                     probe=probe).metrics) == ["m"]
@@ -412,7 +406,6 @@ class CountingChain(TwoTimeScaleProblem):
 
     dim_theta = 1
     dim_omega = 1
-    exact = None
 
     def __init__(self):
         self.first = None
@@ -512,7 +505,6 @@ class Flaky(TwoTimeScaleProblem):
 
     dim_theta = 1
     dim_omega = 1
-    exact = None
 
     def sample(self, theta, omega, env, rng):
         u = float(rng.uniform())
@@ -534,8 +526,9 @@ class BlockFlaky(Flaky):
 def test_flagged_replica_keeps_its_alone_trace_in_a_mixed_batch(problem):
     # theta drifts down by about 0.005 a step; the probe's metric goes
     # non-finite below -2.8, which some replicas reach before the end
-    probe = ResidualProbe(problem, extra=lambda th, om: {
-        "m": np.nan if th[0] < -2.8 else th[0]})
+    problem.extra_metrics = lambda th, om: {
+        "m": np.nan if th[0] < -2.8 else th[0]}
+    probe = ResidualProbe(problem)
     sched = custom_schedule(lambda k: 0.5, lambda k: 0.01, lambda k: 0.01)
     n_iters = 2 * DRAW_BLOCK + 50
     batch = run(problem, "fast", sched, n_iters, seed=(1, 0), probe=probe,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twoscale.numerics import SeededRng
+from twoscale.solver import ResidualProbe, custom_schedule, run
 from twoscale.synthetic import make_nonconvex, make_pl, make_quadratic
 
 
@@ -76,13 +77,24 @@ def test_sample_mean_monte_carlo():
 
 def test_exact_accessor_basics():
     qp, _ = make_quadratic(5, 5, seed=0)
-    assert np.array_equal(qp.exact.theta_star, qp.theta_bar)
+    assert np.array_equal(qp.theta_star, qp.theta_bar)
     pl, _ = make_pl(5, 5, seed=0)
-    assert pl.exact.h_star == 0.0
-    assert pl.exact.theta_star is None
+    assert pl.h_star == 0.0
+    assert pl.theta_star is None
     nc, _ = make_nonconvex(4, 4, seed=0)
     assert np.allclose(nc.grad_h(np.full(4, np.pi / 2)), np.ones(4))
     assert np.all((0.0 < nc.theta0) & (nc.theta0 < np.pi))
+
+
+def test_nonconvex_run_starts_at_theta0():
+    # not at the stationary point 0: zero steps leave theta at theta0
+    problem, _ = make_nonconvex(4, 4, seed=0)
+    sched = custom_schedule(lambda k: 0.5, lambda k: 0.0, lambda k: 0.0)
+    trace = run(problem, "fast", sched, 1, seed=0,
+                probe=ResidualProbe(problem))
+    assert np.array_equal(trace.final_state.theta, problem.theta0)
+    g = np.sin(problem.theta0)
+    assert trace.metrics["grad_norm_sq"][0] == float(g @ g) > 0.1
 
 
 @pytest.mark.parametrize("maker", [make_quadratic, make_pl, make_nonconvex])

@@ -349,7 +349,7 @@ def test_problem_adapter_dimensions_and_metrics():
     assert problem.dim_theta == problem.dim_omega == 3
     F, G, env = problem.sample(np.zeros(3), np.zeros(3), None, SeededRng(1))
     assert F.shape == (3,) and G.shape == (3,) and env is None
-    assert problem.exact.h(inst.theta_star) <= 1e-10
+    assert problem.h(inst.theta_star) <= 1e-10
 
 
 def test_td0_problem_runs_the_td0_update_under_standard():
